@@ -77,17 +77,6 @@ def _context_from_args(args: argparse.Namespace) -> DeformationContext:
     return DeformationContext(args.theta, args.m, args.n, sig)
 
 
-def _ledger_json(ctx: DeformationContext) -> dict:
-    led = ctx.ledger
-    unit = complex(led["unit_norm"])
-    return {
-        "sigma": int(led["sigma"]),
-        "unit_norm": [float(unit.real), float(unit.imag)],
-        "c_plus": [[float(complex(z).real), float(complex(z).imag)]
-                   for z in led["c_plus"]],
-    }
-
-
 def _emit(report: dict, json_out: str | None) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
@@ -127,7 +116,7 @@ def _cmd_star(args: argparse.Namespace) -> int:
             "n": int(ctx.n),
             "signature": [int(p) for p in ctx.odd_signature],
         },
-        "ledger": _ledger_json(ctx),
+        "ledger": ctx.ledger_json(),
         "result": words,
     }
     _emit(report, args.json_out)

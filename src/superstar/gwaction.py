@@ -399,7 +399,8 @@ def verify_gw(grid: list[GWParams] | None = None,
     coefficient maps on every (parameters, field) pair.
 
     The report's top-level "passed" follows the target map (the asserted
-    identity); "derived_passed" follows the map the engine derives.
+    identity); "derived_passed" follows the map the engine derives.  Both
+    are false on an empty grid or field list, which compares nothing.
     "target_refuted" holds when the grid has at least one b != 0 point, the
     target map misses by more than ``REFUTATION_MARGIN`` at every b != 0
     point and agrees within ``tol`` at every b = 0 point, where the two maps
@@ -471,8 +472,8 @@ def verify_gw(grid: list[GWParams] | None = None,
         "points": points,
         "target_max_rel_dev": float(lit_worst),
         "derived_max_rel_dev": float(der_worst),
-        "passed": bool(lit_worst <= tol),
-        "derived_passed": bool(der_worst <= tol),
+        "passed": bool(points and lit_worst <= tol),
+        "derived_passed": bool(points and der_worst <= tol),
         "target_max_rel_dev_b_zero": float(miss_b_zero),
         "refutation_margin": REFUTATION_MARGIN,
         "target_refuted": bool(miss_b_nonzero

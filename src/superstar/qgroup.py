@@ -426,7 +426,10 @@ def pentagon_check(qctx: QGroupContext, t_samples: int = 5, seed: int = 0,
 
     Also checks the exactness of the all-constant case and, optionally, the
     superunitarity of W with respect to the graded L^2(G' x G') pairing
-    (pointwise in t after the measure-preserving shift t1 -> t1 + t2)."""
+    (pointwise in t after the measure-preserving shift t1 -> t1 + t2).
+    Raises ValueError for ``t_samples < 1``, which would pass on nothing."""
+    if t_samples < 1:
+        raise ValueError(f"t_samples must be >= 1, got {t_samples}")
     rng = np.random.default_rng(seed)
     report: dict = {"t_samples": int(t_samples), "seed": int(seed),
                     "tolerance": float(tol)}

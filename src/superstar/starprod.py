@@ -5,21 +5,27 @@ The *engine* (:func:`star`, and the multi-block generalization
 
     (f1 * f2)(z) = pref * int dz1 dz2  e^{-(2i/theta) omega(z1,z2)} f1(z+z1) f2(z+z2)
 
-exactly on the ExpPoly x Grassmann class: even variables through the
-Gaussian/Fresnel closed form of :mod:`superstar.exppoly` on a doubled
-coordinate space, odd variables through a finite Berezin expansion of the
-kernel factor prod_a (1 - (2i/theta) eta_a xi1^a xi2^a).  Both sectors
-factorize per term pair because coefficients are even.
+exactly on the ExpPoly x Grassmann class.  Coefficients are even, so the
+product factorizes per term pair into an even and an odd sector.  The even
+sector is the Gaussian/Fresnel closed form of :mod:`superstar.exppoly` on a
+doubled coordinate space; a constant factor is multiplied pointwise, since
+every derivative of it vanishes.  The odd sector is the Clifford algebra of
+the odd generators (Berezin's Weyl-symbol calculus): on words, bits ambient
+then auxiliary in increasing order,
+
+    xi^U * xi^V = (-1)^{sum_{v in V} #{u in U : u > v}} prod_{a in U & V} c_a xi^{U ^ V},
+
+with c_a = i theta_a eta_a / 2 over the active odd generators, and 0 when
+U & V holds an inactive or auxiliary bit.  Both sectors are normalized by
+construction, so 1 * 1 = 1 exactly.
 
 The *oracle* (:func:`star_oracle`) instead sums the bidifferential series
 sum_k (1/k!) (sigma i theta/2)^k omega^{mu1 nu1} ... (d..f)(d..g) for
 polynomial factors, uses the exact closed phase for plane-wave factors, and
-shares only the finite odd Berezin combinatorics.  The transcendental even
-sector is evaluated by genuinely disjoint code paths in the two routes.
-
-Normalization: the raw kernel value kappa = 1*1 is computed once per
-configuration and divided out of every product ("unit_norm"); the raw kappa
-and the derived convention constants (sigma, the Clifford constants) live in
+Berezin-integrates the odd kernel factor prod_a (1 - (2i/theta) eta_a xi1^a
+xi2^a), divided by its closed-form value on 1 * 1 ("unit_norm").  The engine
+and the oracle share no code in either sector.  The convention constants
+(sigma, the Clifford constants c_plus, unit_norm) live in
 ``DeformationContext.ledger``.
 """
 
@@ -103,10 +109,12 @@ class DeformationContext:
 
     @cached_property
     def ledger(self) -> dict:
-        """Derived convention constants, computed by the engine at first use."""
+        """Convention constants: sigma and c_plus computed by the engine at
+        first use; unit_norm, theta^n times the odd Berezin kernel integral
+        on 1 * 1, in closed form (-2i)^n (-1)^{n(n-1)/2} prod_a eta_a."""
         led: dict = {}
-        kappa = _kappa(2 * self.m, self.even_blocks(), self.odd_gens())
-        led["unit_norm"] = kappa
+        n, q = self.n, self.odd_signature[1]
+        led["unit_norm"] = (-2j) ** n * (-1) ** (n * (n - 1) // 2 + q)
         # sigma from the deformed commutator of the first symplectic pair
         if self.m >= 1:
             x1 = Superfunction.coordinate(2 * self.m, self.n, 0)
@@ -125,6 +133,16 @@ class DeformationContext:
             c_plus.append(complex(sum(t.c for t in prod.body().terms)))
         led["c_plus"] = tuple(c_plus)
         return led
+
+    def ledger_json(self) -> dict:
+        """The ledger as JSON-safe data (complex values as [re, im])."""
+        led = self.ledger
+        unit = led["unit_norm"]
+        return {
+            "sigma": int(led["sigma"]),
+            "unit_norm": [unit.real, unit.imag],
+            "c_plus": [[z.real, z.imag] for z in led["c_plus"]],
+        }
 
 
 def context_signed_theta(theta: float, m: int, n: int,
@@ -154,6 +172,10 @@ def context_signed_theta(theta: float, m: int, n: int,
 # engine
 
 
+def _is_constant(f: ExpPolyFunction) -> bool:
+    return all(not any(t.alpha) and not any(t.A_ut) and not any(t.b) for t in f.terms)
+
+
 def _even_star_pair(ff: ExpPolyFunction, gg: ExpPolyFunction, m: int,
                     even_blocks: Sequence[EvenBlock]) -> ExpPolyFunction:
     """Kernel integral of the even sector for one coefficient pair.
@@ -163,7 +185,7 @@ def _even_star_pair(ff: ExpPolyFunction, gg: ExpPolyFunction, m: int,
     """
     act = [c for coords, _ in even_blocks for c in coords]
     k_act = len(act)
-    if k_act == 0:
+    if k_act == 0 or _is_constant(ff) or _is_constant(gg):
         return ep_mul(ff, gg)
     D = m + 2 * k_act
     M1 = np.zeros((m, D))
@@ -197,94 +219,28 @@ def _even_star_pair(ff: ExpPolyFunction, gg: ExpPolyFunction, m: int,
     return out.scale(pref)
 
 
-def _odd_star_pair(wf: int, wg: int, n: int, naux: int,
-                   odd_gens: Sequence[OddGen]) -> dict[int, complex]:
-    """Berezin sector for one word pair: {output word: coefficient}, raw.
+def _clifford_pair(u: int, v: int, c: dict[int, complex]) -> tuple[int, complex]:
+    """Odd sector for one word pair: (output word, coefficient).
 
-    Big algebra layout: [ambient (n) | copies xi1 | copies xi2 | aux]; the
-    Berezin measure extracts the copy bits against their increasing order,
-    with the crossing sign eps(kept, integrated).
+    ``c`` maps the bit of each active odd generator to its Clifford constant;
+    a shared bit without one (inactive or auxiliary) squares to zero.
     """
-    act = [a - 1 for a, _, _ in odd_gens]
-    n_act = len(act)
-    width = n + 2 * n_act + naux
-    pos1 = {a: n + i for i, a in enumerate(act)}
-    pos2 = {a: n + n_act + i for i, a in enumerate(act)}
-
-    def image(word: int, pos: dict[int, int]) -> GrassmannElement:
-        acc = GrassmannElement.one(width)
-        w = word
-        while w and acc:
-            k = (w & -w).bit_length() - 1
-            w &= w - 1
-            if k >= n:
-                img = GrassmannElement.monomial(width, 1 << (k + 2 * n_act))
-            elif k in pos:
-                img = (GrassmannElement.monomial(width, 1 << k)
-                       + GrassmannElement.monomial(width, 1 << pos[k]))
-            else:
-                img = GrassmannElement.monomial(width, 1 << k)
-            acc = acc.wedge(img)
-        return acc
-
-    kern = GrassmannElement.one(width)
-    for a1, e, th in odd_gens:
-        a = a1 - 1
-        pair = (1 << pos1[a]) | (1 << pos2[a])
-        factor = GrassmannElement(width, {0: 1.0, pair: -2j * e / th})
-        kern = kern.wedge(factor)
-    integrand = kern.wedge(image(wf, pos1)).wedge(image(wg, pos2))
-    M = 0
-    for a in act:
-        M |= (1 << pos1[a]) | (1 << pos2[a])
-    out: dict[int, complex] = {}
-    for W, c in integrand.coeffs.items():
-        if W & M != M:
-            continue
-        kept = W & ~M
-        sign = eps(kept, M)
-        amb = kept & ((1 << n) - 1)
-        aux_bits = kept >> (n + 2 * n_act)
-        word = amb | (aux_bits << n)
-        out[word] = out.get(word, 0j) + sign * complex(c)
-    return out
-
-
-_KAPPA_CACHE: dict = {}
-
-
-def _raw_star(f: Superfunction, g: Superfunction, even_blocks: Sequence[EvenBlock],
-              odd_gens: Sequence[OddGen]) -> Superfunction:
-    naux = f._unify(g)
-    m = f.m
-    theta_odd = 1.0
-    for _, _, th in odd_gens:
-        theta_odd *= th
-    out: dict[int, ExpPolyFunction] = {}
-    for wf, ff in f.terms.items():
-        for wg, gg in g.terms.items():
-            even = _even_star_pair(ff, gg, m, even_blocks)
-            if even.is_zero:
-                continue
-            for word, c in _odd_star_pair(wf, wg, f.n, naux, odd_gens).items():
-                piece = even.scale(c * theta_odd)
-                out[word] = out[word] + piece if word in out else piece
-    return Superfunction(m, f.n, out, naux)
-
-
-def _kappa(m: int, even_blocks, odd_gens) -> complex:
-    key = (m, tuple((tuple(c), float(t)) for c, t in even_blocks),
-           tuple((int(a), int(e), float(t)) for a, e, t in odd_gens))
-    if key not in _KAPPA_CACHE:
-        one = Superfunction.one(m, 0)
-        raw = _raw_star(one, one, even_blocks, odd_gens)
-        _KAPPA_CACHE[key] = complex(sum(t.c for t in raw.body().terms))
-    return _KAPPA_CACHE[key]
+    coef: complex = 1
+    odd = 0
+    rest = v
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        odd ^= (u >> low.bit_length()).bit_count() & 1
+        if u & low:
+            if low not in c:
+                return u ^ v, 0
+            coef *= c[low]
+    return u ^ v, -coef if odd else coef
 
 
 def star_general(f: Superfunction, g: Superfunction,
-                 even_blocks: Sequence[EvenBlock], odd_gens: Sequence[OddGen],
-                 *, normalize: bool = True) -> Superfunction:
+                 even_blocks: Sequence[EvenBlock], odd_gens: Sequence[OddGen]) -> Superfunction:
     """Deformed product with explicit active blocks; inactive data is spectator.
 
     Serves the standard product (one block covering all even coordinates and
@@ -303,16 +259,21 @@ def star_general(f: Superfunction, g: Superfunction,
             if not 0 <= c < f.m or c in seen:
                 raise ValueError(f"bad even block coordinate {c}")
             seen.add(c)
-    seen_odd: set[int] = set()
-    for a, e, _ in odd_gens:
-        if not 1 <= a <= f.n or a in seen_odd or e not in (1, -1):
+    clifford: dict[int, complex] = {}
+    for a, e, th in odd_gens:
+        if not 1 <= a <= f.n or (1 << (a - 1)) in clifford or e not in (1, -1):
             raise ValueError(f"bad odd generator spec ({a}, {e})")
-        seen_odd.add(a)
-    raw = _raw_star(f, g, even_blocks, odd_gens)
-    if not normalize:
-        return raw
-    kappa = _kappa(f.m, even_blocks, odd_gens)
-    return raw.scale(1.0 / kappa).chop()
+        clifford[1 << (a - 1)] = 1j * th * e / 2
+    naux = f._unify(g)
+    out: dict[int, ExpPolyFunction] = {}
+    for wf, ff in f.terms.items():
+        for wg, gg in g.terms.items():
+            word, c = _clifford_pair(wf, wg, clifford)
+            if c == 0:
+                continue
+            piece = _even_star_pair(ff, gg, f.m, even_blocks).scale(c)
+            out[word] = out[word] + piece if word in out else piece
+    return Superfunction(f.m, f.n, out, naux).chop()
 
 
 def star(ctx: DeformationContext, f: Superfunction, g: Superfunction) -> Superfunction:
@@ -383,18 +344,72 @@ def _oracle_even_pair(ff: ExpPolyFunction, gg: ExpPolyFunction, theta: float,
     return total
 
 
+def _odd_star_pair(wf: int, wg: int, n: int, naux: int,
+                   odd_gens: Sequence[OddGen]) -> dict[int, complex]:
+    """Odd Berezin kernel integral for one word pair: {output word: coefficient}, raw.
+
+    Big algebra layout: [ambient (n) | copies xi1 | copies xi2 | aux]; the
+    Berezin measure extracts the copy bits against their increasing order,
+    with the crossing sign eps(kept, integrated).
+    """
+    act = [a - 1 for a, _, _ in odd_gens]
+    n_act = len(act)
+    width = n + 2 * n_act + naux
+    pos1 = {a: n + i for i, a in enumerate(act)}
+    pos2 = {a: n + n_act + i for i, a in enumerate(act)}
+
+    def image(word: int, pos: dict[int, int]) -> GrassmannElement:
+        acc = GrassmannElement.one(width)
+        w = word
+        while w and acc:
+            k = (w & -w).bit_length() - 1
+            w &= w - 1
+            if k >= n:
+                img = GrassmannElement.monomial(width, 1 << (k + 2 * n_act))
+            elif k in pos:
+                img = (GrassmannElement.monomial(width, 1 << k)
+                       + GrassmannElement.monomial(width, 1 << pos[k]))
+            else:
+                img = GrassmannElement.monomial(width, 1 << k)
+            acc = acc.wedge(img)
+        return acc
+
+    kern = GrassmannElement.one(width)
+    for a1, e, th in odd_gens:
+        a = a1 - 1
+        pair = (1 << pos1[a]) | (1 << pos2[a])
+        factor = GrassmannElement(width, {0: 1.0, pair: -2j * e / th})
+        kern = kern.wedge(factor)
+    integrand = kern.wedge(image(wf, pos1)).wedge(image(wg, pos2))
+    M = 0
+    for a in act:
+        M |= (1 << pos1[a]) | (1 << pos2[a])
+    out: dict[int, complex] = {}
+    for W, c in integrand.coeffs.items():
+        if W & M != M:
+            continue
+        kept = W & ~M
+        sign = eps(kept, M)
+        amb = kept & ((1 << n) - 1)
+        aux_bits = kept >> (n + 2 * n_act)
+        word = amb | (aux_bits << n)
+        out[word] = out.get(word, 0j) + sign * complex(c)
+    return out
+
+
 def star_oracle(ctx: DeformationContext, f: Superfunction, g: Superfunction) -> Superfunction:
     """Independent product evaluation on the polynomial/plane-wave class.
 
     Even sector by the terminating bidifferential series or the closed
-    plane-wave phase; odd sector by the same finite Berezin expansion the
-    engine uses (it is exact combinatorics either way).
+    plane-wave phase; odd sector by a finite Berezin expansion of the kernel
+    factor, divided by the ledger's closed-form ``unit_norm``.  Neither
+    sector shares code with the engine, so this also audits that constant.
     """
     if f.m != 2 * ctx.m or f.n != ctx.n:
         raise DimensionError("function does not match context")
     naux = f._unify(g)
     sigma = ctx.ledger["sigma"]
-    kappa = _kappa(f.m, ctx.even_blocks(), ctx.odd_gens())
+    unit_norm = ctx.ledger["unit_norm"]
     Om = ctx.omega_even()
     theta_odd = float(ctx.theta) ** ctx.n
     out: dict[int, ExpPolyFunction] = {}
@@ -405,7 +420,7 @@ def star_oracle(ctx: DeformationContext, f: Superfunction, g: Superfunction) -> 
                 continue
             odd = _odd_star_pair(wf, wg, f.n, naux, ctx.odd_gens())
             for word, c in odd.items():
-                piece = even.scale(c * theta_odd / kappa)
+                piece = even.scale(c * theta_odd / unit_norm)
                 out[word] = out[word] + piece if word in out else piece
     return Superfunction(f.m, f.n, out, naux).chop()
 

@@ -81,24 +81,13 @@ __all__ = ["SUITE_NAMES", "run_suite", "run_all"]
 # ---------------------------------------------------------------------------
 
 
-def _ledger_json(ctx: DeformationContext) -> dict:
-    led = ctx.ledger
-    unit = complex(led["unit_norm"])
-    return {
-        "sigma": int(led["sigma"]),
-        "unit_norm": [float(unit.real), float(unit.imag)],
-        "c_plus": [[float(complex(z).real), float(complex(z).imag)]
-                   for z in led["c_plus"]],
-    }
-
-
 def _context_json(ctx: DeformationContext) -> dict:
     return {
         "theta": float(ctx.theta),
         "m": int(ctx.m),
         "n": int(ctx.n),
         "signature": [int(p) for p in ctx.odd_signature],
-        "ledger": _ledger_json(ctx),
+        "ledger": ctx.ledger_json(),
     }
 
 
@@ -179,7 +168,7 @@ def verify_eps(*, n: int | None = None, tol: float | None = None,
         _check("disjoint-union-multiplicativity", mult_cases, float(mult_bad), 0.0),
     ]
     return _suite_report("eps", checks, n=n,
-                         ledger=_ledger_json(DeformationContext(1.0, 1, 1, (1, 0))))
+                         ledger=DeformationContext(1.0, 1, 1, (1, 0)).ledger_json())
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +420,7 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
     checks = [positivity, square, preserve, defining, involution,
               basis_formula, product_law]
     return _suite_report("hilbert", checks,
-                         ledger=_ledger_json(DeformationContext(1.0, 1, 1, (1, 0))))
+                         ledger=DeformationContext(1.0, 1, 1, (1, 0)).ledger_json())
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +520,7 @@ def verify_heisenberg(*, tol: float | None = None, seed: int = 0) -> dict:
     return _suite_report("heisenberg", [rep_prop, unitary],
                          context={"theta": float(ctx.theta), "m": ctx.m,
                                   "r": ctx.r, "s": ctx.s,
-                                  "ledger": _ledger_json(star_ctx)})
+                                  "ledger": star_ctx.ledger_json()})
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,15 @@ def test_qgroup_pentagon(capsys):
     assert rep["superunitarity"]["modular_weight"] == 0.0
 
 
+def test_qgroup_pentagon_zero_samples_exits_2(capsys):
+    # zero sampled triples would pass on nothing
+    code, out, err = run_cli(capsys, "qgroup", "pentagon", "--t-samples", "0")
+    assert code == 2
+    assert out == ""
+    assert "t_samples" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------

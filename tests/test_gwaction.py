@@ -354,6 +354,14 @@ def test_target_refuted_needs_a_nonzero_ratio():
     assert report["target_refuted"] is True
 
 
+def test_empty_grid_passes_nothing():
+    report = verify_gw(grid=[], fields=default_fields()[:1])
+    assert report["points"] == []
+    assert report["passed"] is False
+    assert report["derived_passed"] is False
+    assert report["target_refuted"] is False
+
+
 def test_default_grid_and_fields_shape():
     grid = default_grid()
     assert len(grid) >= 12

@@ -19,6 +19,7 @@ from superstar.sampling import (
 )
 from superstar.starprod import (
     DeformationContext,
+    _odd_star_pair,
     context_signed_theta,
     star,
     star_anticomm,
@@ -35,6 +36,7 @@ from superstar.superfun import (
     sintegrate,
     smul,
 )
+from superstar.verify import _star_pool
 
 THETA = 0.7
 
@@ -66,21 +68,25 @@ def test_unit_element():
         one = Superfunction.one(2 * ctx.m, ctx.n)
         prod = star(ctx, one, one)
         assert set(prod.terms) <= {0}
-        assert abs(const_part(prod) - 1.0) < 1e-12
+        assert const_part(prod) == 1.0
+
+
+def closed_unit_norm(eta) -> complex:
+    n = len(eta)
+    eta_prod = 1
+    for e in eta:
+        eta_prod *= e
+    return (-2j) ** n * (-1) ** (n * (n - 1) // 2) * eta_prod
 
 
 def test_ledger_constants():
-    for ctx in CONTEXTS:
+    for ctx in CONTEXTS + _star_pool() + [context_signed_theta(-1.7, 0, 3, (1, 2))]:
         led = ctx.ledger
-        n = ctx.n
-        eta_prod = 1
-        for e in ctx.eta:
-            eta_prod *= e
-        expected_kappa = (-2j) ** n * (-1) ** (n * (n - 1) // 2) * eta_prod
-        assert abs(led["unit_norm"] - expected_kappa) < 1e-12
+        assert led["unit_norm"] == closed_unit_norm(ctx.eta)
         assert led["sigma"] == -1
+        assert len(led["c_plus"]) == ctx.n
         for a, e in enumerate(ctx.eta):
-            assert abs(led["c_plus"][a] - 1j * ctx.theta * e / 2) < 1e-12
+            assert led["c_plus"][a] == 1j * ctx.theta * e / 2
 
 
 def test_coordinate_commutators():
@@ -194,6 +200,39 @@ def test_oracle_exhaustive_odd_monomials():
             for wg in range(4):
                 g = Superfunction(0, 2, {wg: ExpPolyFunction.one(0)})
                 assert sf_max_dev(star(ctx, f, g), star_oracle(ctx, f, g)) < 1e-14
+
+
+def test_clifford_rule_against_berezin_expansion_exhaustive():
+    # every word pair, ambient then aux bits, for n <= 5 in every signature;
+    # even p: all generators active with one theta, odd p: generator 1
+    # inactive and the others with distinct theta; theta's sign flips with p
+    worst = 0.0
+    for n in range(6):
+        naux = 2 if n <= 3 else 1
+        width = 1 << (n + naux)
+        for p in range(n + 1):
+            eta = (1,) * p + (-1,) * (n - p)
+            sign = -1.0 if p % 2 else 1.0
+            if p % 2:
+                gens = [(a, eta[a - 1], sign * (0.3 + 0.2 * a)) for a in range(2, n + 1)]
+            else:
+                gens = [(a, eta[a - 1], sign * 0.7) for a in range(1, n + 1)]
+            scale = 1.0
+            for _, _, th in gens:
+                scale *= th
+            scale /= closed_unit_norm([e for _, e, _ in gens])
+            monos = [Superfunction(0, n, {w: ExpPolyFunction.one(0)}, naux)
+                     for w in range(width)]
+            for u in range(width):
+                for v in range(width):
+                    got = star_general(monos[u], monos[v], (), gens)
+                    want = {w: c * scale for w, c in
+                            _odd_star_pair(u, v, n, naux, gens).items()}
+                    assert set(got.terms) == set(want), (n, p, u, v)
+                    for w, c in want.items():
+                        (t,) = got.terms[w].terms
+                        worst = max(worst, abs(t.c - c) / abs(c))
+    assert worst <= 1e-15
 
 
 def test_oracle_rejects_gaussians():

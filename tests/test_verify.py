@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from superstar import verify
 from superstar.verify import SUITE_NAMES, run_all, run_suite
 
 
@@ -71,12 +72,19 @@ def test_ledger_constants_embedded():
     assert qg["context"]["dilation_weights"] == [1.0]
 
 
-def test_run_all_merges_sorted_and_reflects_failures():
-    # run the cheap suites through the public entry point by monkeypatching
-    # is avoided: just check run_all on the full registry once in the
-    # acceptance gate.  Here: the merged shape via a tolerance failure on a
-    # single suite is out of reach without the full run, so check dispatch
-    # equivalence instead.
+def test_run_all_merges_sorted_and_reflects_failures(monkeypatch):
+    def fake(name, cases, passed):
+        return lambda *, tol, seed: {"suite": name, "cases": cases,
+                                     "passed": passed}
+
+    monkeypatch.setattr(verify, "_SUITES", {"zeta": fake("zeta", 3, True),
+                                            "alpha": fake("alpha", 4, False)})
+    merged = run_all(seed=0)
+    assert [s["suite"] for s in merged["suites"]] == ["alpha", "zeta"]
+    assert merged["cases"] == 7
+    assert merged["passed"] is False
+    monkeypatch.undo()
+
     via_name = run_suite("eps", n=2)
     direct = run_all.__globals__["verify_eps"](n=2, tol=None, seed=0)
     assert via_name == direct
