@@ -10,6 +10,7 @@ __all__ = [
     "ClassError",
     "DimensionError",
     "DivergenceError",
+    "ParameterRangeError",
     "ParityError",
     "SingularityError",
 ]
@@ -25,6 +26,10 @@ class DivergenceError(ValueError):
 
 class ClassError(ValueError):
     """Input outside the function class an operation supports."""
+
+
+class ParameterRangeError(ValueError):
+    """A parameter whose derived constants are not finite nonzero floats."""
 
 
 class ParityError(ValueError):

@@ -10,13 +10,21 @@ numeric limits anywhere.
 Conventions: a term stores the quadratic form A as the upper triangle of a
 symmetric matrix, so x^T A x carries the full cross coefficient (the (i,j) and
 (j,i) entries both contribute).  ``b`` is the linear form, ``alpha`` the
-monomial exponent.
+monomial exponent; (A, b) is the term's exponent key.
+
+Terms of one function share few exponent keys, so the operations that cost
+linear algebra work per key rather than per term: :func:`ep_integrate_partial`
+computes the eigenvalues, inverse and Schur complement of the integrated block
+once per quadratic form A and the linear data once per key, and
+:meth:`ExpPolyFunction.affine` substitutes each key and each monomial exponent
+once.  Storage stays a tuple of :class:`ExpPolyTerm` in merged normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -26,12 +34,10 @@ from .errors import DivergenceError
 __all__ = [
     "ExpPolyFunction",
     "ExpPolyTerm",
-    "ep_derive",
     "ep_equal",
     "ep_integrate",
     "ep_integrate_partial",
     "ep_mul",
-    "ep_translate",
 ]
 
 # Relative threshold deciding "zero" for eigenvalue/definiteness questions.
@@ -287,20 +293,26 @@ class ExpPolyFunction:
             new_d = M.shape[1]
         else:
             M = np.asarray(M, dtype=complex).reshape(self.d, new_d)
+        # exponent data once per key (A, b), the polynomial part
+        # prod_i (M[i,:].y + v_i)^alpha_i once per exponent alpha
+        exponents: dict[tuple, tuple] = {}
+        expansions: dict[tuple, dict[tuple, complex]] = {}
         out = []
         for t in self.terms:
-            A = t.A_matrix()
-            b = np.asarray(t.b)
-            A_new = M.T @ A @ M
-            b_new = M.T @ (2 * A @ v + b)
-            c_exp = complex(v @ A @ v + b @ v)
-            base_c = t.c * np.exp(c_exp)
-            A_ut = _ut_from_matrix(A_new)
-            b_t = tuple(complex(x) for x in b_new)
-            # polynomial part: prod_i (M[i,:].y + v_i)^alpha_i
-            rows = [(complex(v[i]), M[i, :]) for i in range(self.d) if t.alpha[i] > 0]
-            powers = [t.alpha[i] for i in range(self.d) if t.alpha[i] > 0]
-            for expo, coeff in _affine_monomial_expand(rows, powers, new_d).items():
+            if (t.A_ut, t.b) not in exponents:
+                A = t.A_matrix()
+                b = np.asarray(t.b)
+                c_exp = complex(v @ A @ v + b @ v)
+                exponents[t.A_ut, t.b] = (_ut_from_matrix(M.T @ A @ M),
+                                          tuple(complex(x) for x in M.T @ (2 * A @ v + b)),
+                                          np.exp(c_exp))
+            A_ut, b_t, e = exponents[t.A_ut, t.b]
+            if t.alpha not in expansions:
+                rows = [(complex(v[i]), M[i, :]) for i in range(self.d) if t.alpha[i] > 0]
+                powers = [t.alpha[i] for i in range(self.d) if t.alpha[i] > 0]
+                expansions[t.alpha] = _affine_monomial_expand(rows, powers, new_d)
+            base_c = t.c * e
+            for expo, coeff in expansions[t.alpha].items():
                 out.append(ExpPolyTerm(base_c * coeff, expo, A_ut, b_t))
         return ExpPolyFunction(new_d, out)
 
@@ -392,19 +404,10 @@ def ep_mul(f: ExpPolyFunction, g: ExpPolyFunction) -> ExpPolyFunction:
     out = []
     for s in f.terms:
         for t in g.terms:
-            alpha = tuple(a + b for a, b in zip(s.alpha, t.alpha))
-            A_ut = tuple(a + b for a, b in zip(s.A_ut, t.A_ut))
-            b = tuple(a + b for a, b in zip(s.b, t.b))
-            out.append(ExpPolyTerm(s.c * t.c, alpha, A_ut, b))
+            out.append(ExpPolyTerm(s.c * t.c, tuple(map(add, s.alpha, t.alpha)),
+                                   tuple(map(add, s.A_ut, t.A_ut)),
+                                   tuple(map(add, s.b, t.b))))
     return ExpPolyFunction(f.d, out)
-
-
-def ep_translate(f: ExpPolyFunction, a) -> ExpPolyFunction:
-    return f.translate(a)
-
-
-def ep_derive(f: ExpPolyFunction, mu: int) -> ExpPolyFunction:
-    return f.derive(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +480,7 @@ def _affine_monomial_expand(rows, powers, k: int) -> dict[tuple, complex]:
             nxt: dict[tuple, complex] = {}
             for e1, c1 in acc.items():
                 for e2, c2 in factor.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
+                    e = tuple(map(add, e1, e2))
                     nxt[e] = nxt.get(e, 0j) + c1 * c2
             acc = nxt
             if not acc:
@@ -488,15 +491,23 @@ def _affine_monomial_expand(rows, powers, k: int) -> dict[tuple, complex]:
 def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int]) -> ExpPolyFunction:
     """Integrate out the given axes exactly; remaining axes keep their order.
 
-    Per term the integral over y (the selected axes) of
-    y^beta e^{y^T Ayy y + s(u).y} is evaluated by the Gaussian moment formula
-    with Z = pi^{l/2} / prod_j sqrt(mu_j), mu_j the eigenvalues of -Ayy on the
+    The integral over y (the selected axes) of y^beta e^{y^T Ayy y + s(u).y}
+    is evaluated by the Gaussian moment formula with
+    Z = pi^{l/2} / prod_j sqrt(mu_j), mu_j the eigenvalues of -Ayy on the
     principal square-root branch (the epsilon-regularization limit), and the
     moment polynomial recursion of :func:`_moment_poly`; the result is an
     ExpPolyFunction of the kept variables u.
 
-    Raises DivergenceError when a term is neither integrable nor Fresnel on
-    the integrated block.
+    Terms are reduced per exponent key (A, b).  The admissibility test, the
+    eigenvalues, the inverse C = Ayy^{-1}, Z and the Schur complement depend
+    on A alone and are computed once per quadratic form, as is the moment
+    polynomial of each distinct beta; b_y, the reduced linear form and the
+    constant e^{-b_y C b_y / 4} once per key, as is the expansion of
+    (b_y + B u)^gamma for each distinct gamma.  The coefficients of a key are
+    summed in one dict, in term order, before any term is built.
+
+    Raises DivergenceError when a quadratic form is neither integrable nor
+    Fresnel on the integrated block.
     """
     axes = sorted(set(int(a) for a in axes))
     if any(a < 0 or a >= f.d for a in axes):
@@ -504,42 +515,63 @@ def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int]) -> ExpPolyFunc
     if not axes:
         return f
     keep = [i for i in range(f.d) if i not in axes]
-    k, ell = len(keep), len(axes)
-    out_terms: list[ExpPolyTerm] = []
+    groups: dict[tuple, dict[tuple, list[ExpPolyTerm]]] = {}
     for t in f.terms:
-        A = t.A_matrix()
-        b = np.asarray(t.b)
-        Ayy = A[np.ix_(axes, axes)]
-        # admissibility of the integrated block
-        re_eigs = np.linalg.eigvalsh(np.real(Ayy))
-        mu = np.linalg.eigvals(-Ayy)
-        scale = max(1.0, float(np.max(np.abs(mu))))
-        if np.max(re_eigs) > _EIG_TOL * scale or np.min(np.abs(mu)) <= _EIG_TOL * scale:
-            raise DivergenceError(
-                f"term neither integrable nor Fresnel on integrated block: {t!r}")
-        Auu = A[np.ix_(keep, keep)]
-        Auy = A[np.ix_(keep, axes)]
-        C = np.linalg.inv(Ayy)
-        Z = pi ** (ell / 2) / np.prod([_principal_sqrt(m) for m in mu])
+        groups.setdefault(t.A_ut, {}).setdefault(t.b, []).append(t)
+    out_terms: list[ExpPolyTerm] = []
+    for by_b in groups.values():
+        out_terms.extend(_integrate_form(by_b, axes, keep))
+    return ExpPolyFunction(len(keep), out_terms)
+
+
+def _integrate_form(by_b: Mapping[tuple, Sequence[ExpPolyTerm]], axes: list[int],
+                    keep: list[int]) -> list[ExpPolyTerm]:
+    """Integrate terms sharing one quadratic form A, grouped by linear form b."""
+    t0 = next(iter(by_b.values()))[0]
+    k, ell = len(keep), len(axes)
+    A = t0.A_matrix()
+    Ayy = A[np.ix_(axes, axes)]
+    # admissibility of the integrated block
+    re_eigs = np.linalg.eigvalsh(np.real(Ayy))
+    mu = np.linalg.eigvals(-Ayy)
+    scale = max(1.0, float(np.max(np.abs(mu))))
+    if np.max(re_eigs) > _EIG_TOL * scale or np.min(np.abs(mu)) <= _EIG_TOL * scale:
+        raise DivergenceError(
+            f"term neither integrable nor Fresnel on integrated block: {t0!r}")
+    Auu = A[np.ix_(keep, keep)]
+    Auy = A[np.ix_(keep, axes)]
+    C = np.linalg.inv(Ayy)
+    Z = pi ** (ell / 2) / np.prod([_principal_sqrt(m) for m in mu])
+    # s(u) = b_y + B u with B = 2 Auy^T
+    B = 2.0 * Auy.T
+    A_ut = _ut_from_matrix(Auu - Auy @ C @ Auy.T) if k else ()
+    moments: dict[tuple, dict[tuple, complex]] = {}
+    out: list[ExpPolyTerm] = []
+    for b_key, terms in by_b.items():
+        b = np.asarray(b_key)
         b_u = b[keep]
         b_y = b[axes]
-        beta = [t.alpha[a] for a in axes]
-        H = _moment_poly(C, beta)
-        # s(u) = b_y + B u with B = 2 Auy^T
-        B = 2.0 * Auy.T
-        A_new = Auu - Auy @ C @ Auy.T
-        b_new = b_u - Auy @ (C @ b_y)
-        const = t.c * Z * np.exp(-0.25 * complex(b_y @ C @ b_y))
-        A_ut = _ut_from_matrix(A_new) if k else ()
-        b_t = tuple(complex(x) for x in b_new)
-        alpha_u = tuple(t.alpha[i] for i in keep)
-        for gamma, h in H.items():
-            rows = [(complex(b_y[i]), B[i, :]) for i in range(ell) if gamma[i] > 0]
-            powers = [gamma[i] for i in range(ell) if gamma[i] > 0]
-            for expo, coeff in _affine_monomial_expand(rows, powers, k).items():
-                total = tuple(a + e for a, e in zip(alpha_u, expo))
-                out_terms.append(ExpPolyTerm(const * h * coeff, total, A_ut, b_t))
-    return ExpPolyFunction(k, out_terms)
+        b_t = tuple(complex(x) for x in b_u - Auy @ (C @ b_y))
+        decay = np.exp(-0.25 * complex(b_y @ C @ b_y))
+        expansions: dict[tuple, dict[tuple, complex]] = {}
+        acc: dict[tuple, complex] = {}
+        for t in terms:
+            beta = tuple(t.alpha[a] for a in axes)
+            if beta not in moments:
+                moments[beta] = _moment_poly(C, beta)
+            const = t.c * Z * decay
+            alpha_u = tuple(t.alpha[i] for i in keep)
+            for gamma, h in moments[beta].items():
+                if gamma not in expansions:
+                    rows = [(complex(b_y[i]), B[i, :]) for i in range(ell) if gamma[i] > 0]
+                    powers = [gamma[i] for i in range(ell) if gamma[i] > 0]
+                    expansions[gamma] = _affine_monomial_expand(rows, powers, k)
+                ch = const * h
+                for expo, coeff in expansions[gamma].items():
+                    total = tuple(map(add, alpha_u, expo))
+                    acc[total] = acc.get(total, 0j) + ch * coeff
+        out.extend(ExpPolyTerm(c, alpha, A_ut, b_t) for alpha, c in acc.items())
+    return out
 
 
 def ep_integrate(f: ExpPolyFunction) -> complex:

@@ -14,8 +14,11 @@ from .starprod import DeformationContext
 from .superfun import Superfunction
 
 __all__ = [
+    "conj_coefficients",
     "random_even",
     "random_gaussian_even",
+    "random_gaussian_superfunction",
+    "random_isotropic_gaussian",
     "random_plane_wave_even",
     "random_poly_even",
     "random_star_factor",
@@ -80,6 +83,24 @@ def random_even(rng: np.random.Generator, d: int, kind: str) -> ExpPolyFunction:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def random_isotropic_gaussian(rng: np.random.Generator, m: int = 1) -> ExpPolyFunction:
+    """c * exp(-a |x|^2 + b.x) with a in [0.5, 1.5) and complex b, c."""
+    A = -np.eye(m) * (0.5 + rng.random())
+    b = [complex(rng.normal(), rng.normal()) for _ in range(m)]
+    return ExpPolyFunction.gaussian(m, A, b, complex(rng.normal(), rng.normal()))
+
+
+def random_gaussian_superfunction(rng: np.random.Generator, m: int, n: int,
+                                  words: int = 2) -> Superfunction:
+    """Sum of ``words`` isotropic Gaussians on random odd words of R^{m|n}."""
+    terms: dict[int, ExpPolyFunction] = {}
+    for _ in range(words):
+        w = int(rng.integers(0, 1 << n))
+        fn = random_isotropic_gaussian(rng, m)
+        terms[w] = terms[w] + fn if w in terms else fn
+    return Superfunction(m, n, terms)
+
+
 def random_star_factor(rng: np.random.Generator, ctx: DeformationContext,
                        kinds=("gaussian", "pw", "poly"), naux: int = 0,
                        max_words: int = 2) -> Superfunction:
@@ -120,3 +141,8 @@ def random_odd_aux_shifts(rng: np.random.Generator, n: int,
                 s = s + ring.gen(j).scale(complex(rng.normal(), rng.normal()))
         shifts.append(s)
     return shifts
+
+
+def conj_coefficients(e: GrassmannElement) -> GrassmannElement:
+    """Complex-conjugate every coefficient, keeping the word order."""
+    return GrassmannElement(e.n, {w: np.conj(c) for w, c in e.coeffs.items()})

@@ -33,12 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import pi
+from math import isfinite, pi
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ClassError, DimensionError, ParityError
+from .errors import ClassError, DimensionError, ParameterRangeError, ParityError
 from .exppoly import ExpPolyFunction, ExpPolyTerm, ep_integrate_partial, ep_mul
 from .grassmann import GrassmannElement, eps
 from .superfun import Superfunction
@@ -78,8 +78,8 @@ class DeformationContext:
             raise ValueError(f"odd signature {self.odd_signature} incompatible with n={self.n}")
         if self.m < 0:
             raise ValueError("m must be >= 0")
-        if not self.theta > 0:
-            raise ValueError("theta must be positive")
+        if not (self.theta > 0 and isfinite(self.theta)):
+            raise ValueError(f"theta must be positive and finite, got {self.theta!r}")
 
     @property
     def eta(self) -> tuple[int, ...]:
@@ -153,8 +153,8 @@ def context_signed_theta(theta: float, m: int, n: int,
     evaluates its deferred products at sampled group coordinates of either
     sign, for which every engine formula remains well-defined.
     """
-    if theta == 0:
-        raise ValueError("theta must be nonzero")
+    if theta == 0 or not isfinite(theta):
+        raise ValueError(f"theta must be nonzero and finite, got {theta!r}")
     if theta > 0:
         return DeformationContext(theta, m, n, odd_signature)
     ctx = object.__new__(DeformationContext)
@@ -176,47 +176,72 @@ def _is_constant(f: ExpPolyFunction) -> bool:
     return all(not any(t.alpha) and not any(t.A_ut) and not any(t.b) for t in f.terms)
 
 
-def _even_star_pair(ff: ExpPolyFunction, gg: ExpPolyFunction, m: int,
-                    even_blocks: Sequence[EvenBlock]) -> ExpPolyFunction:
-    """Kernel integral of the even sector for one coefficient pair.
+class _EvenProduct:
+    """Even-sector kernel integrals of one :func:`star_general` call.
 
     Doubled space: [original m coords | copies z1 | copies z2]; spectator
-    coordinates (not in any block) are shared by both factors.
+    coordinates (not in any block) are shared by both factors.  The space, its
+    kernel and prefactor are built at the first pair that needs them, and each
+    side embeds a word's coefficient once per call, keyed by the word.
     """
-    act = [c for coords, _ in even_blocks for c in coords]
-    k_act = len(act)
-    if k_act == 0 or _is_constant(ff) or _is_constant(gg):
-        return ep_mul(ff, gg)
-    D = m + 2 * k_act
-    M1 = np.zeros((m, D))
-    M2 = np.zeros((m, D))
-    M1[:, :m] = np.eye(m)
-    M2[:, :m] = np.eye(m)
-    for j, c in enumerate(act):
-        M1[c, m + j] = 1.0
-        M2[c, m + k_act + j] = 1.0
-    F1 = ff.affine(M1, np.zeros(m), D)
-    F2 = gg.affine(M2, np.zeros(m), D)
-    A = np.zeros((D, D), dtype=complex)
-    pref = 1.0
-    off = 0
-    for coords, th in even_blocks:
-        k2 = len(coords)
-        k = k2 // 2
-        Om = np.zeros((k2, k2))
-        Om[:k, k:] = np.eye(k)
-        Om[k:, :k] = -np.eye(k)
-        B = (-2j / th) * Om  # z1^T B z2 in the exponent
-        i1 = m + off
-        i2 = m + k_act + off
-        A[i1:i1 + k2, i2:i2 + k2] += B / 2
-        A[i2:i2 + k2, i1:i1 + k2] += B.T / 2
-        pref *= 1.0 / (pi ** k2 * th ** k2)
-        off += k2
-    K = ExpPolyFunction.gaussian(D, A)
-    integrand = ep_mul(ep_mul(F1, F2), K)
-    out = ep_integrate_partial(integrand, range(m, D))
-    return out.scale(pref)
+
+    def __init__(self, m: int, even_blocks: Sequence[EvenBlock]):
+        self.m = m
+        self.even_blocks = even_blocks
+        self.act = [c for coords, _ in even_blocks for c in coords]
+        self._embedded: tuple[dict, dict] = ({}, {})
+
+    @cached_property
+    def _space(self):
+        m, act = self.m, self.act
+        k_act = len(act)
+        D = m + 2 * k_act
+        M1 = np.zeros((m, D))
+        M2 = np.zeros((m, D))
+        M1[:, :m] = np.eye(m)
+        M2[:, :m] = np.eye(m)
+        for j, c in enumerate(act):
+            M1[c, m + j] = 1.0
+            M2[c, m + k_act + j] = 1.0
+        A = np.zeros((D, D), dtype=complex)
+        pref = 1.0
+        off = 0
+        for coords, th in self.even_blocks:
+            k2 = len(coords)
+            k = k2 // 2
+            Om = np.zeros((k2, k2))
+            Om[:k, k:] = np.eye(k)
+            Om[k:, :k] = -np.eye(k)
+            B = (-2j / th) * Om  # z1^T B z2 in the exponent
+            i1 = m + off
+            i2 = m + k_act + off
+            A[i1:i1 + k2, i2:i2 + k2] += B / 2
+            A[i2:i2 + k2, i1:i1 + k2] += B.T / 2
+            try:
+                pref *= 1.0 / (pi ** k2 * th ** k2)
+            except (OverflowError, ZeroDivisionError):
+                pref = 0.0
+            if not (isfinite(pref) and pref != 0):
+                raise ParameterRangeError(
+                    f"theta={th!r}: the kernel prefactor 1/(pi theta)^{k2} is not "
+                    "a finite nonzero float")
+            off += k2
+        return D, (M1, M2), ExpPolyFunction.gaussian(D, A), pref
+
+    def _embed(self, side: int, word: int, fn: ExpPolyFunction) -> ExpPolyFunction:
+        memo = self._embedded[side]
+        if word not in memo:
+            D, maps, _, _ = self._space
+            memo[word] = fn.affine(maps[side], np.zeros(self.m), D)
+        return memo[word]
+
+    def __call__(self, wf: int, ff: ExpPolyFunction,
+                 wg: int, gg: ExpPolyFunction) -> ExpPolyFunction:
+        if not self.act or _is_constant(ff) or _is_constant(gg):
+            return ep_mul(ff, gg)
+        D, _, K, pref = self._space
+        integrand = ep_mul(ep_mul(self._embed(0, wf, ff), self._embed(1, wg, gg)), K)
+        return ep_integrate_partial(integrand, range(self.m, D)).scale(pref)
 
 
 def _clifford_pair(u: int, v: int, c: dict[int, complex]) -> tuple[int, complex]:
@@ -265,13 +290,14 @@ def star_general(f: Superfunction, g: Superfunction,
             raise ValueError(f"bad odd generator spec ({a}, {e})")
         clifford[1 << (a - 1)] = 1j * th * e / 2
     naux = f._unify(g)
+    even = _EvenProduct(f.m, even_blocks)
     out: dict[int, ExpPolyFunction] = {}
     for wf, ff in f.terms.items():
         for wg, gg in g.terms.items():
             word, c = _clifford_pair(wf, wg, clifford)
             if c == 0:
                 continue
-            piece = _even_star_pair(ff, gg, f.m, even_blocks).scale(c)
+            piece = even(wf, ff, wg, gg).scale(c)
             out[word] = out[word] + piece if word in out else piece
     return Superfunction(f.m, f.n, out, naux).chop()
 

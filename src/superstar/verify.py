@@ -41,7 +41,6 @@ from typing import Callable
 
 import numpy as np
 
-from .exppoly import ExpPolyFunction
 from .grassmann import AuxOddRing, GrassmannElement, eps
 from .gwaction import verify_gw
 from .heisenberg import GroupElement, HeisenbergContext, representation
@@ -56,7 +55,10 @@ from .hilbert import (
 )
 from .qgroup import QGroupContext, pentagon_check
 from .sampling import (
+    conj_coefficients,
+    random_gaussian_superfunction,
     random_integrable_factor,
+    random_isotropic_gaussian,
     random_odd_aux_shifts,
     random_oracle_factor,
     random_star_factor,
@@ -272,21 +274,6 @@ def verify_star(*, tol: float | None = None, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _rand_gauss(rng: np.random.Generator, m: int = 1) -> ExpPolyFunction:
-    A = -np.eye(m) * (0.5 + rng.random())
-    b = [complex(rng.normal(), rng.normal()) for _ in range(m)]
-    return ExpPolyFunction.gaussian(m, A, b, complex(rng.normal(), rng.normal()))
-
-
-def _rand_fun(rng: np.random.Generator, m: int, n: int, words: int = 2) -> Superfunction:
-    terms: dict[int, ExpPolyFunction] = {}
-    for _ in range(words):
-        w = int(rng.integers(0, 1 << n))
-        fn = _rand_gauss(rng, m)
-        terms[w] = terms[w] + fn if w in terms else fn
-    return Superfunction(m, n, terms)
-
-
 def _rand_graded_operator(rng: np.random.Generator, parities: tuple[int, ...],
                           degree: int) -> GradedOperator:
     k = len(parities)
@@ -336,7 +323,7 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
     min_real = math.inf
     for _ in range(100):
         n = int(rng.integers(0, 4))
-        f = _rand_fun(rng, 1, n)
+        f = random_gaussian_superfunction(rng, 1, n)
         v = complex(scalar_J(f, f))
         worst_imag = max(worst_imag, abs(v.imag))
         min_real = min(min_real, v.real)
@@ -349,7 +336,7 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
     cases = 0
     for n in range(5):
         for w in range(1 << n):
-            mono = Superfunction(1, n, {w: _rand_gauss(rng)})
+            mono = Superfunction(1, n, {w: random_isotropic_gaussian(rng)})
             jj = fundamental_symmetry(fundamental_symmetry(mono))
             sign = (-1) ** ((n + 1) * w.bit_count())
             worst = max(worst, sf_max_dev(jj, mono.scale(sign)))
@@ -361,8 +348,8 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
     cases = 0
     for n in range(5):
         for _ in range(10):
-            f = _rand_fun(rng, 1, n)
-            g = _rand_fun(rng, 1, n)
+            f = random_gaussian_superfunction(rng, 1, n)
+            g = random_gaussian_superfunction(rng, 1, n)
             lhs = inner_l2(fundamental_symmetry(f), fundamental_symmetry(g))
             worst = max(worst, abs(lhs - inner_l2(f, g)))
             cases += 1
@@ -441,14 +428,10 @@ def _h_rand_odd(rng: np.random.Generator, *, real: bool = False) -> GrassmannEle
     return e
 
 
-def _h_conj(e: GrassmannElement) -> GrassmannElement:
-    return GrassmannElement(e.n, {w: np.conj(c) for w, c in e.coeffs.items()})
-
-
 def _h_rand_group_element(rng: np.random.Generator, *, real: bool = False) -> GroupElement:
     ctx = _HCTX
     z = [_h_rand_odd(rng, real=real) for _ in range(ctx.s)]
-    zbar = ([_h_conj(x) for x in z] if real
+    zbar = ([conj_coefficients(x) for x in z] if real
             else [_h_rand_odd(rng) for _ in range(ctx.s)])
     return GroupElement.make(
         ctx,
@@ -465,9 +448,9 @@ def _h_rand_fock(rng: np.random.Generator) -> FockSuperfunction:
     terms = {}
     for w in range(1 << n):
         if rng.random() < 0.8:
-            terms[w] = _rand_gauss(rng, ctx.m)
+            terms[w] = random_isotropic_gaussian(rng, ctx.m)
     if not terms:
-        terms[0] = _rand_gauss(rng, ctx.m)
+        terms[0] = random_isotropic_gaussian(rng, ctx.m)
     return FockSuperfunction(ctx.m, ctx.r, ctx.s, Superfunction(ctx.m, n, terms))
 
 

@@ -67,6 +67,19 @@ def test_star_bad_signature_exits_2(capsys):
     assert "signature" in err
 
 
+@pytest.mark.parametrize("theta", ["1e-300", "1e300", "inf"])
+def test_star_theta_out_of_range_exits_2(capsys, theta):
+    # 1e-300 underflows and 1e300 overflows the kernel prefactor 1/(pi theta)^2;
+    # inf is no deformation parameter at all
+    code, out, err = run_cli(capsys, "star", "--theta", theta, "--m", "1",
+                             "exp(-x1*x1) star exp(-x2*x2)")
+    assert code == 2
+    assert out == ""
+    assert "theta" in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -11,13 +11,11 @@ from superstar.errors import DivergenceError
 from superstar.exppoly import (
     ExpPolyFunction,
     ExpPolyTerm,
-    ep_derive,
     ep_equal,
     ep_integrate,
     ep_integrate_partial,
     ep_max_dev,
     ep_mul,
-    ep_translate,
 )
 
 RNG = np.random.default_rng(20260817)
@@ -140,7 +138,7 @@ def test_translation_invariance_of_integral():
         d = 1 + (i % 3)
         f = random_integrable(rng, d, nterms=1 + (i % 2))
         a = rng.normal(size=d)
-        lhs = ep_integrate(ep_translate(f, a))
+        lhs = ep_integrate(f.translate(a))
         rhs = ep_integrate(f)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs)), (i, d)
 
@@ -151,7 +149,7 @@ def test_integral_of_derivative_vanishes():
         d = 1 + (i % 3)
         f = random_integrable(rng, d)
         mu = int(rng.integers(0, d))
-        val = ep_integrate(ep_derive(f, mu))
+        val = ep_integrate(f.derive(mu))
         assert abs(val) <= 1e-12 * max(1.0, _scale_of(f)), (i, d)
 
 
@@ -182,6 +180,55 @@ def test_partial_integration_pointwise_against_quadrature():
             lambda x: f.eval(np.array([[x, y]]))[0].imag, -30, 30, limit=400)
         assert abs(g.eval(np.array([y])) - complex(section_re, section_im)) < 1e-9
 
+
+
+def _keyed_integrand(rng, d: int, nkeys: int) -> ExpPolyFunction:
+    """Several terms on each of ``nkeys`` exponent keys; the last key reuses
+    the first key's quadratic form with another linear form."""
+    keys = [(t.A_ut, t.b) for t in random_integrable(rng, d, nkeys - 1).terms]
+    keys.append((keys[0][0], tuple(map(complex, rng.normal(size=d) + 1j * rng.normal(size=d)))))
+    terms = []
+    for A_ut, b in keys:
+        for _ in range(int(rng.integers(2, 5))):
+            alpha = tuple(int(a) for a in rng.integers(0, 3, size=d))
+            terms.append(ExpPolyTerm(complex(rng.normal(), rng.normal()), alpha, A_ut, b))
+    return ExpPolyFunction(d, terms)
+
+
+def _max_rel_coeff_dev(f: ExpPolyFunction, g: ExpPolyFunction) -> float:
+    """Same keys required; then the largest coefficient deviation relative to
+    the largest coefficient."""
+    cf = {t.key: t.c for t in f.terms}
+    cg = {t.key: t.c for t in g.terms}
+    assert cf.keys() == cg.keys()
+    top = max(abs(c) for c in cf.values())
+    return max(abs(cf[k] - cg[k]) for k in cf) / top
+
+
+@pytest.mark.parametrize("d,axes", [(2, [0]), (3, [1]), (3, [0, 2]), (3, [0, 1, 2])])
+def test_keyed_reduction_equals_termwise_reduction(d, axes):
+    rng = np.random.default_rng([41, d, len(axes)])
+    for nkeys in (2, 3, 4):
+        f = _keyed_integrand(rng, d, nkeys)
+        assert len({(t.A_ut, t.b) for t in f.terms}) == nkeys
+        assert len(f.terms) > nkeys
+        whole = ep_integrate_partial(f, axes)
+        singles = [ep_integrate_partial(ExpPolyFunction(d, [t]), axes) for t in f.terms]
+        termwise = ExpPolyFunction(whole.d, [t for g in singles for t in g.terms])
+        assert _max_rel_coeff_dev(whole, termwise) <= 1e-12, (nkeys, axes)
+
+
+def test_keyed_reduction_raises_on_the_one_inadmissible_key():
+    rng = np.random.default_rng(43)
+    good = _keyed_integrand(rng, 2, 3)
+    # e^{x_0} times x_1: no Gaussian decay or oscillation along axis 0
+    bad = (ExpPolyFunction.gaussian(2, np.diag([0.0, -1.0]), [1.0, 0.0])
+           * ExpPolyFunction.coordinate(2, 1))
+    ep_integrate_partial(good, [0])
+    with pytest.raises(DivergenceError):
+        ep_integrate_partial(good + bad, [0])
+    with pytest.raises(DivergenceError):
+        ep_integrate(good + bad)
 
 # ---------------------------------------------------------------------------
 # algebra: product, translate, derive
@@ -233,7 +280,7 @@ def test_mul_commutative_associative_structural():
 def test_translate_examples():
     x2 = ExpPolyFunction.monomial(1, (2,))
     a = 0.7
-    shifted = ep_translate(x2, [a])
+    shifted = x2.translate([a])
     want = (ExpPolyFunction.monomial(1, (2,))
             + ExpPolyFunction.monomial(1, (1,), 2 * a)
             + ExpPolyFunction.const(1, a * a))
@@ -241,7 +288,7 @@ def test_translate_examples():
 
     k = 1.3
     pw = ExpPolyFunction.plane_wave(1, [k])
-    assert ep_equal(ep_translate(pw, [a]), pw.scale(np.exp(1j * k * a)), tol=1e-14)
+    assert ep_equal(pw.translate([a]), pw.scale(np.exp(1j * k * a)), tol=1e-14)
 
 
 def test_translate_group_law():
@@ -249,15 +296,15 @@ def test_translate_group_law():
     for _ in range(10):
         f = random_integrable(rng, 2, nterms=2)
         a = rng.normal(size=2)
-        assert ep_max_dev(ep_translate(ep_translate(f, a), -a), f) < 1e-12
+        assert ep_max_dev(f.translate(a).translate(-a), f) < 1e-12
 
 
 def test_derive_examples():
     x2 = ExpPolyFunction.monomial(1, (2,))
-    assert ep_derive(x2, 0) == ExpPolyFunction.monomial(1, (1,), 2.0)
+    assert x2.derive(0) == ExpPolyFunction.monomial(1, (1,), 2.0)
     g = ExpPolyFunction.gaussian(1, [[-1.0]])
     want = ExpPolyFunction.monomial(1, (1,), -2.0) * g
-    assert ep_derive(g, 0) == want
+    assert g.derive(0) == want
 
 
 def test_derive_commutes_with_translate():
@@ -265,8 +312,8 @@ def test_derive_commutes_with_translate():
     for _ in range(10):
         f = random_integrable(rng, 2, nterms=2)
         a = rng.normal(size=2)
-        lhs = ep_derive(ep_translate(f, a), 1)
-        rhs = ep_translate(ep_derive(f, 1), a)
+        lhs = f.translate(a).derive(1)
+        rhs = f.derive(1).translate(a)
         assert ep_max_dev(lhs, rhs) < 1e-11
 
 

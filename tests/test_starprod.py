@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superstar import starprod
 from superstar.errors import ClassError, DimensionError, DivergenceError, ParityError
 from superstar.exppoly import ExpPolyFunction, ep_max_dev
 from superstar.grassmann import AuxOddRing
@@ -442,18 +443,66 @@ def test_divergent_star_raises():
         star(ctx, grow, grow)
 
 
+def _count_reductions(ctx, f, g):
+    """Star product f * g, counting np.linalg.eigvals calls and recording the
+    exponent keys and quadratic forms of each doubled-space integrand."""
+    calls, keys, forms = [], [], []
+    eigvals, integrate = np.linalg.eigvals, starprod.ep_integrate_partial
+
+    def counting_eigvals(a):
+        calls.append(a)
+        return eigvals(a)
+
+    def recording_integrate(fn, axes):
+        keys.append(len({(t.A_ut, t.b) for t in fn.terms}))
+        forms.append(len({t.A_ut for t in fn.terms}))
+        return integrate(fn, axes)
+
+    np.linalg.eigvals = counting_eigvals
+    starprod.ep_integrate_partial = recording_integrate
+    try:
+        star(ctx, f, g)
+    finally:
+        np.linalg.eigvals = eigvals
+        starprod.ep_integrate_partial = integrate
+    return len(calls), keys, forms
+
+
+def test_one_eigendecomposition_per_exponent_key():
+    ctx = DeformationContext(0.8, 1, 0)
+    x1 = ExpPolyFunction.coordinate(2, 0)
+    # two exponent keys with different quadratic forms, times a polynomial
+    f = (ExpPolyFunction.gaussian(2, -np.eye(2)) * x1 * x1
+         + ExpPolyFunction.gaussian(2, -2.0 * np.eye(2), [0.5, 0.0]) * x1)
+    g = x1 + ExpPolyFunction.coordinate(2, 1) * x1
+    n_eig, keys, forms = _count_reductions(
+        ctx, Superfunction.from_even(f, 0), Superfunction.from_even(g, 0))
+    assert keys == [2] and forms == [2]
+    assert n_eig == 2
+    # two keys sharing one quadratic form share its eigen data
+    waves = ExpPolyFunction.plane_wave(2, [1.0, 0.3]) + ExpPolyFunction.plane_wave(2, [-0.4, 2.0])
+    n_eig, keys, forms = _count_reductions(
+        ctx, Superfunction.from_even(waves, 0), Superfunction.from_even(x1 * x1, 0))
+    assert keys == [2] and forms == [1]
+    assert n_eig == 1
+
+
 def test_context_validation():
     with pytest.raises(ValueError):
         DeformationContext(0.0, 1, 0)
     with pytest.raises(ValueError):
         DeformationContext(-1.0, 1, 0)
+    for theta in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            DeformationContext(theta, 1, 0)
     with pytest.raises(ValueError):
         DeformationContext(THETA, 1, 2, (2, 1))
 
 
 def test_signed_theta_contexts():
-    with pytest.raises(ValueError):
-        context_signed_theta(0.0, 1, 0)
+    for theta in (0.0, float("-inf"), float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            context_signed_theta(theta, 1, 0)
     for theta in (0.9, -0.9):
         ctx = context_signed_theta(theta, 1, 0)
         x1 = Superfunction.coordinate(2, 0, 0)
