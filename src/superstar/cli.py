@@ -32,14 +32,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import sys
 
 from .errors import DimensionError
 from .expr import ExpressionError, evaluate, parse, print_expression
 from .gwaction import verify_gw
 from .qgroup import QGroupContext, pentagon_check
-from .starprod import DeformationContext, context_signed_theta
+from .starprod import DeformationContext
 from .supertorus import parse_torus_tokens, torus_normal_form
 from .verify import SUITE_NAMES, run_suite
 
@@ -49,6 +51,27 @@ __all__ = ["main", "build_parser"]
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1e-3`` as a negative number rather than as an option.
+
+    argparse's own negative-number pattern has no exponent, so without this
+    ``--theta -1e-3`` fails with "expected one argument".
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def _env_seed() -> int:
@@ -72,8 +95,6 @@ def _parse_signature(text: str | None, n: int) -> tuple[int, int] | None:
 
 def _context_from_args(args: argparse.Namespace) -> DeformationContext:
     sig = _parse_signature(args.signature, args.n)
-    if args.theta < 0:
-        return context_signed_theta(args.theta, args.m, args.n, sig)
     return DeformationContext(args.theta, args.m, args.n, sig)
 
 
@@ -207,7 +228,7 @@ def _cmd_qgroup(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superstar",
         description="Computer-algebra engine and verification suites for "
                     "star products on flat superspace.")
@@ -235,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite",
                           help=f"suite name or suite=<name>; one of "
                                f"{', '.join(SUITE_NAMES)}")
-    p_verify.add_argument("--tol", type=float, default=None,
+    p_verify.add_argument("--tol", type=_tolerance, default=None,
                           help="override every check tolerance in the suite")
     p_verify.add_argument("--n", type=int, default=None,
                           help="subset universe size for the eps suite")
@@ -254,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gw = sub.add_parser("gw", help="harmonic-superfield action checks")
     p_gw.add_argument("action", choices=("verify",))
-    p_gw.add_argument("--tol", type=float, default=None)
+    p_gw.add_argument("--tol", type=_tolerance, default=None)
     common(p_gw, seed=False)
     p_gw.set_defaults(fn=_cmd_gw)
 
     p_qg = sub.add_parser("qgroup", help="quantum supergroup checks")
     p_qg.add_argument("action", choices=("pentagon",))
     p_qg.add_argument("--t-samples", type=int, default=5)
-    p_qg.add_argument("--tol", type=float, default=None)
+    p_qg.add_argument("--tol", type=_tolerance, default=None)
     p_qg.add_argument("--m", type=int, default=1)
     p_qg.add_argument("--n", type=int, default=2)
     p_qg.add_argument("--signature", default=None, metavar="P,Q")

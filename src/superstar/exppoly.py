@@ -47,11 +47,6 @@ _EIG_TOL = 1e-12
 _CHOP_REL = 1e-14
 
 
-def _ut_index(i: int, j: int, d: int) -> int:
-    """Index of (i,j), i <= j, in the row-major flattened upper triangle."""
-    return i * d - (i * (i - 1)) // 2 + (j - i)
-
-
 def _ut_from_matrix(A: np.ndarray) -> tuple[complex, ...]:
     d = A.shape[0]
     sym = 0.5 * (A + A.T)
@@ -255,9 +250,6 @@ class ExpPolyFunction:
     def fresnel_ok(self) -> bool:
         return all(t.integrable or t.fresnel for t in self.terms)
 
-    def max_degree(self) -> int:
-        return max((sum(t.alpha) for t in self.terms), default=0)
-
     # -- calculus ------------------------------------------------------
 
     def derive(self, mu: int) -> "ExpPolyFunction":
@@ -319,9 +311,6 @@ class ExpPolyFunction:
     def translate(self, a) -> "ExpPolyFunction":
         """f(x) -> f(x + a)."""
         return self.affine(np.eye(self.d), a, self.d)
-
-    def integrate_partial(self, axes: Sequence[int]) -> "ExpPolyFunction":
-        return ep_integrate_partial(self, axes)
 
     def integrate(self) -> complex:
         return ep_integrate(self)

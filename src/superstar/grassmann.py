@@ -3,9 +3,11 @@
 Index sets of Grassmann monomials ``xi^I`` are machine-word bit sets: bit ``k``
 stands for the generator ``xi^{k+1}``.  The sign function :func:`eps` counts
 transpositions with popcount tricks, and :class:`GrassmannElement` implements
-the graded-commutative algebra over a scalar coefficient ring or over an
-auxiliary odd-parameter ring (:class:`AuxOddRing`), with the Koszul sign of
-total parity interleaving the two gradings.
+the graded-commutative algebra with complex coefficients.
+
+Auxiliary odd parameters (functor-of-points coordinates) are further bits of
+the same flat word, placed after the ambient generators, so every Koszul sign
+is :func:`eps` on flat words and there is no second coefficient ring.
 
 Everything here is exact integer/complex arithmetic; no floats are produced
 beyond the coefficients the caller puts in.
@@ -13,19 +15,13 @@ beyond the coefficients the caller puts in.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
-
-Coeff = Union[complex, "GrassmannElement"]
+from typing import Iterable, Mapping
 
 __all__ = [
-    "AuxOddRing",
     "GrassmannElement",
     "bits_from_indices",
     "eps",
-    "hodge",
     "indices_from_bits",
-    "top_coefficient",
-    "wedge",
 ]
 
 
@@ -70,88 +66,28 @@ def eps(I: int, J: int) -> int:
     return -1 if odd else 1
 
 
-def _as_coeff(value) -> Coeff:
-    if isinstance(value, GrassmannElement):
-        return value
-    return complex(value)
-
-
-def _coeff_is_zero(c: Coeff) -> bool:
-    if isinstance(c, GrassmannElement):
-        return not c.coeffs
-    return c == 0
-
-
-def _coeff_add(a: Coeff, b: Coeff) -> Coeff:
-    if isinstance(a, GrassmannElement) or isinstance(b, GrassmannElement):
-        if not isinstance(a, GrassmannElement):
-            a = GrassmannElement.scalar(b.n, a)  # type: ignore[union-attr]
-        if not isinstance(b, GrassmannElement):
-            b = GrassmannElement.scalar(a.n, b)
-        return a + b
-    return a + b
-
-
-def _coeff_mul(a: Coeff, b: Coeff) -> Coeff:
-    """Product in the coefficient ring (wedge when both are ring elements)."""
-    if isinstance(a, GrassmannElement):
-        return a.wedge(b) if isinstance(b, GrassmannElement) else a * b
-    if isinstance(b, GrassmannElement):
-        return b * a
-    return a * b
-
-
-def _coeff_parity_split(c: Coeff) -> tuple[Coeff, Coeff]:
-    """Split a coefficient into (even, odd) parts of the auxiliary grading."""
-    if isinstance(c, GrassmannElement):
-        even = {I: v for I, v in c.coeffs.items() if not (I.bit_count() & 1)}
-        odd = {I: v for I, v in c.coeffs.items() if I.bit_count() & 1}
-        return (
-            GrassmannElement(c.n, even, _skip_normalize=True),
-            GrassmannElement(c.n, odd, _skip_normalize=True),
-        )
-    return c, 0j
-
-
-def coeff_conj(c: Coeff) -> Coeff:
-    """Conjugation in the coefficient ring: the superinvolution on aux values."""
-    if isinstance(c, GrassmannElement):
-        return c.dagger()
-    return c.conjugate()
-
-
 class GrassmannElement:
     """Element of the Grassmann algebra on ``n`` generators.
 
-    ``coeffs`` maps bit sets to coefficients, with exact zeros pruned.
-    Coefficients are complex scalars or (for functor-of-points parameters)
-    elements of an :class:`AuxOddRing`; an aux-valued coefficient that reduces
-    to its scalar part is collapsed back to a plain complex number so that the
-    normal form is unique.
+    ``coeffs`` maps bit sets to complex coefficients, with exact zeros pruned.
     """
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: Mapping[int, Coeff] | None = None,
-                 *, _skip_normalize: bool = False):
+    def __init__(self, n: int, coeffs: Mapping[int, complex] | None = None):
         if n < 0:
             raise ValueError("ambient odd dimension must be >= 0")
         self.n = n
-        if coeffs is None:
-            self.coeffs: dict[int, Coeff] = {}
-        elif _skip_normalize:
-            self.coeffs = dict(coeffs)
-        else:
-            out: dict[int, Coeff] = {}
-            full = (1 << n) - 1
-            for bits, raw in coeffs.items():
-                if bits & ~full:
-                    raise ValueError(
-                        f"index set {bin(bits)} exceeds ambient dimension {n}")
-                c = _normalize_coeff(_as_coeff(raw))
-                if not _coeff_is_zero(c):
-                    out[bits] = c
-            self.coeffs = out
+        out: dict[int, complex] = {}
+        full = (1 << n) - 1
+        for bits, raw in (coeffs or {}).items():
+            if bits & ~full:
+                raise ValueError(
+                    f"index set {bin(bits)} exceeds ambient dimension {n}")
+            c = complex(raw)
+            if c != 0:
+                out[bits] = c
+        self.coeffs = out
 
     # -- constructors ---------------------------------------------------
 
@@ -189,20 +125,12 @@ class GrassmannElement:
         self._check_same_ambient(other)
         out = dict(self.coeffs)
         for bits, c in other.coeffs.items():
-            if bits in out:
-                s = _normalize_coeff(_coeff_add(out[bits], c))
-                if _coeff_is_zero(s):
-                    del out[bits]
-                else:
-                    out[bits] = s
-            else:
-                out[bits] = c
-        return GrassmannElement(self.n, out, _skip_normalize=True)
+            out[bits] = out[bits] + c if bits in out else c
+        return GrassmannElement(self.n, out)
 
     def __neg__(self):
         return GrassmannElement(
-            self.n, {bits: _coeff_mul(-1.0 + 0j, c) for bits, c in self.coeffs.items()},
-            _skip_normalize=True)
+            self.n, {bits: (-1.0 + 0j) * c for bits, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, GrassmannElement):
@@ -215,111 +143,34 @@ class GrassmannElement:
         return self.scale(other)
 
     def __rmul__(self, other):
-        if isinstance(other, GrassmannElement):  # pragma: no cover - __mul__ handles
-            return other.wedge(self)
         return self.scale(other)
 
     def scale(self, value) -> "GrassmannElement":
-        c = _as_coeff(value)
-        if _coeff_is_zero(c):
-            return GrassmannElement.zero(self.n)
-        out = {}
-        for bits, v in self.coeffs.items():
-            w = _normalize_coeff(_coeff_mul(c, v))
-            if not _coeff_is_zero(w):
-                out[bits] = w
-        return GrassmannElement(self.n, out, _skip_normalize=True)
+        c = complex(value)
+        return GrassmannElement(self.n, {bits: c * v for bits, v in self.coeffs.items()})
 
     def wedge(self, other: "GrassmannElement") -> "GrassmannElement":
-        """Graded product.
-
-        Monomial rule with aux-valued coefficients (u, v in the auxiliary
-        ring):  (u xi^I)(v xi^J) = (-1)^{|v||I|} eps(I,J) (u v) xi^{I|J},
-        i.e. v jumps over xi^I with the Koszul sign of its auxiliary parity.
-        """
+        """Graded product: (u xi^I)(v xi^J) = eps(I, J) (u v) xi^{I|J}."""
         self._check_same_ambient(other)
-        acc: dict[int, Coeff] = {}
+        acc: dict[int, complex] = {}
         for I, u in self.coeffs.items():
-            deg_I_odd = bool(I.bit_count() & 1)
             for J, v in other.coeffs.items():
                 sign = eps(I, J)
                 if sign == 0:
                     continue
-                if deg_I_odd:
-                    v_even, v_odd = _coeff_parity_split(v)
-                    v_eff = _coeff_add(v_even, _coeff_mul(-1.0 + 0j, v_odd))
-                else:
-                    v_eff = v
-                w = _coeff_mul(u, v_eff)
+                w = u * v
                 if sign < 0:
-                    w = _coeff_mul(-1.0 + 0j, w)
+                    w = (-1.0 + 0j) * w
                 K = I | J
-                if K in acc:
-                    acc[K] = _coeff_add(acc[K], w)
-                else:
-                    acc[K] = w
-        out = {}
-        for bits, c in acc.items():
-            c = _normalize_coeff(c)
-            if not _coeff_is_zero(c):
-                out[bits] = c
-        return GrassmannElement(self.n, out, _skip_normalize=True)
-
-    # -- structure maps ---------------------------------------------------
-
-    def top_coefficient(self) -> Coeff:
-        """Coefficient of the top monomial xi^{1..n} (0 if absent)."""
-        return self.coeffs.get((1 << self.n) - 1, 0j)
-
-    def hodge(self) -> "GrassmannElement":
-        """Complement map xi^I -> eps(I, comp(I)) xi^{comp(I)}, coefficients untouched."""
-        full = (1 << self.n) - 1
-        out = {}
-        for bits, c in self.coeffs.items():
-            comp = full & ~bits
-            sign = eps(bits, comp)
-            out[comp] = _coeff_mul(complex(sign), c)
-        return GrassmannElement(self.n, out, _skip_normalize=True)
-
-    def dagger(self) -> "GrassmannElement":
-        """Superinvolution: reverse each monomial and conjugate coefficients.
-
-        (u xi^I)^† = (-1)^{k(k-1)/2 + |u| k} u^† xi^I with k = |I|; the second
-        sign moves u^† back past the reversed xi^I.
-        """
-        out: dict[int, Coeff] = {}
-        for bits, c in self.coeffs.items():
-            k = bits.bit_count()
-            cc = coeff_conj(c)
-            sign_rev = -1.0 if (k * (k - 1) // 2) & 1 else 1.0
-            if k & 1:
-                even, odd = _coeff_parity_split(cc)
-                cc = _coeff_add(even, _coeff_mul(-1.0 + 0j, odd))
-            cc = _normalize_coeff(_coeff_mul(complex(sign_rev), cc))
-            if not _coeff_is_zero(cc):
-                out[bits] = cc
-        return GrassmannElement(self.n, out, _skip_normalize=True)
+                acc[K] = acc[K] + w if K in acc else w
+        return GrassmannElement(self.n, acc)
 
     def parity(self) -> int | None:
-        """Total parity (ambient + auxiliary) mod 2, or None if mixed/unknown.
-
-        The zero element reports 0.
-        """
-        seen: set[int] = set()
-        for bits, c in self.coeffs.items():
-            amb = bits.bit_count() & 1
-            if isinstance(c, GrassmannElement):
-                p = c.parity()
-                if p is None:
-                    return None
-                seen.add((amb + p) & 1)
-            else:
-                seen.add(amb)
-            if len(seen) > 1:
-                return None
-        if not seen:
-            return 0
-        return seen.pop()
+        """Parity of the words mod 2, or None when mixed; zero reports 0."""
+        ps = {bits.bit_count() & 1 for bits in self.coeffs}
+        if len(ps) > 1:
+            return None
+        return ps.pop() if ps else 0
 
     # -- misc ---------------------------------------------------
 
@@ -343,55 +194,3 @@ class GrassmannElement:
             mono = "".join(f"xi{i}" for i in indices_from_bits(bits)) or "1"
             parts.append(f"({c!r})*{mono}")
         return " + ".join(parts)
-
-
-def _normalize_coeff(c: Coeff) -> Coeff:
-    """Collapse an aux-valued coefficient with only a scalar part."""
-    if isinstance(c, GrassmannElement):
-        if not c.coeffs:
-            return 0j
-        if set(c.coeffs) == {0} and not isinstance(c.coeffs[0], GrassmannElement):
-            return c.coeffs[0]
-    return c
-
-
-class AuxOddRing:
-    """Ring of auxiliary odd parameters: a Grassmann algebra on N generators.
-
-    Elements are plain :class:`GrassmannElement` values over the auxiliary
-    generators; this class only fixes N and hands out generators, so that odd
-    group coordinates can be fed into even-valued slots functor-of-points
-    style.
-    """
-
-    def __init__(self, N: int):
-        if N < 0:
-            raise ValueError("need N >= 0 auxiliary generators")
-        self.N = N
-
-    def gen(self, index: int) -> GrassmannElement:
-        """The auxiliary odd generator with 1-based ``index``."""
-        if not 1 <= index <= self.N:
-            raise ValueError(f"auxiliary generator index {index} not in 1..{self.N}")
-        return GrassmannElement.generator(self.N, index)
-
-    def scalar(self, value) -> GrassmannElement:
-        return GrassmannElement.scalar(self.N, value)
-
-    def zero(self) -> GrassmannElement:
-        return GrassmannElement.zero(self.N)
-
-    def one(self) -> GrassmannElement:
-        return GrassmannElement.one(self.N)
-
-
-def wedge(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    return a.wedge(b)
-
-
-def top_coefficient(a: GrassmannElement) -> Coeff:
-    return a.top_coefficient()
-
-
-def hodge(a: GrassmannElement) -> GrassmannElement:
-    return a.hodge()

@@ -51,7 +51,7 @@ import numpy as np
 from .errors import DimensionError, DivergenceError
 from .exppoly import ExpPolyFunction
 from .starprod import DeformationContext, star
-from .superfun import Superfunction, sconj, sintegrate
+from .superfun import Superfunction, sintegrate
 
 __all__ = [
     "GWParams",
@@ -219,7 +219,7 @@ def _super_lagrangian(ctx: DeformationContext, field: Superfield,
     for kind in ("even", "odd"):
         for mu in (1, 2):
             D = graded_derivation(ctx, kind, mu, sf, alpha=alpha)
-            total = total + star(ctx, sconj(D), D).scale(0.5)
+            total = total + star(ctx, D.conj(), D).scale(0.5)
     total = total + star(ctx, sf, sf).scale(params.mass ** 2 / 2.0)
     quartic = star(ctx, sf, star(ctx, sf, star(ctx, sf, sf)))
     return total + quartic.scale(params.coupling)
@@ -307,9 +307,9 @@ def calibration_identities(theta: float, phi: ExpPolyFunction,
             ExpPolyFunction.coordinate(2, mu - 1).scale(alpha * 0.5j), 0)
         comm = star(ctx0, gen, f) - star(ctx0, f, gen)
         anti = star(ctx0, gen, f) + star(ctx0, f, gen)
-        kin_comm += 0.5 * star(ctx0, sconj(comm), comm).body().integrate()
+        kin_comm += 0.5 * star(ctx0, comm.conj(), comm).body().integrate()
         harm_anti += (harmonic_sq / 2.0) * star(
-            ctx0, sconj(anti), anti).body().integrate()
+            ctx0, anti.conj(), anti).body().integrate()
     kinetic = 0.5 * sum((phi.derive(mu) * phi.derive(mu)).integrate()
                         for mu in range(2))
     x_sq = (ExpPolyFunction.monomial(2, (2, 0))

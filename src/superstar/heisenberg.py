@@ -1,8 +1,8 @@
 """The Heisenberg supergroup on R^{2m|2r+2s} x R and its oscillator action.
 
 Group elements carry even coordinates (q, p), odd pairs (xi, eta) and
-(zeta, zetabar), and a central coordinate t.  Odd coordinates take values in
-an auxiliary Grassmann ring (numeric odd values would make every identity
+(zeta, zetabar), and a central coordinate t.  Odd coordinates are sums over
+auxiliary odd generators (numeric odd values would make every identity
 involving them vacuous); t then naturally takes even auxiliary values, since
 the group law feeds it the symplectic pairing of odd coordinates:
 
@@ -32,7 +32,6 @@ arbitrary complex coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +48,6 @@ __all__ = [
     "group_inverse",
     "group_identity",
     "representation",
-    "smooth_vector_map",
 ]
 
 
@@ -148,7 +146,7 @@ def _common_width(g: GroupElement, h: GroupElement) -> int:
 
 
 def _pair_omega(g: GroupElement, h: GroupElement, N: int) -> GrassmannElement:
-    """omega(a, a') on the auxiliary ring (an even element)."""
+    """omega(a, a') over the auxiliary generators (an even element)."""
     val = GrassmannElement.scalar(
         N, complex(np.dot(g.q, h.p) - np.dot(g.p, h.q)))
     for a in range(len(g.xi)):
@@ -254,13 +252,3 @@ def representation(ctx: HeisenbergContext, g: GroupElement,
     if nil:
         prefactor = smul(prefactor, _exp_nilpotent(Superfunction(m, n, nil, naux)))
     return FockSuperfunction(m, r, s, smul(prefactor, shifted))
-
-
-def smooth_vector_map(ctx, a, rho) -> Superfunction:
-    """The smooth-vector superfunction z -> rho_z(a) of an action.
-
-    Delegates to the action's own smooth_vector; shipped actions live in the
-    deformation-formula module.  ``ctx`` is accepted for interface symmetry
-    and validated by the action itself.
-    """
-    return rho.smooth_vector(a)

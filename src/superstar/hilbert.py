@@ -5,7 +5,7 @@ Three products live here:
 * ``inner_l2`` — the Berezin-Lebesgue pairing on R^{m|n}, antilinear in its
   first argument.  It is superhermitian but indefinite.
 * ``scalar_J`` — the positive scalar product obtained by inserting the
-  fundamental symmetry J (the odd-sector Hodge complement) in the second slot.
+  fundamental symmetry J (the signed odd-sector complement) in the second slot.
 * ``inner_fock`` — the pairing on the holomorphic-in-zeta sector used by the
   oscillator representation: a Gaussian Berezin weight pairs each holomorphic
   generator with its conjugate.
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DimensionError, ParityError, SingularityError
 from .exppoly import ExpPolyFunction
 from .grassmann import GrassmannElement, eps
-from .superfun import Superfunction, sconj, sintegrate, smul
+from .superfun import Superfunction, sintegrate, smul
 
 __all__ = [
     "inner_l2",
@@ -47,7 +47,7 @@ def inner_l2(f: Superfunction, g: Superfunction):
     Antilinear in ``f``; returns a GrassmannElement when auxiliary odd
     parameters are present.
     """
-    return sintegrate(smul(sconj(f), g))
+    return sintegrate(smul(f.conj(), g))
 
 
 def fundamental_symmetry(f: Superfunction) -> Superfunction:
@@ -137,9 +137,6 @@ class FockSuperfunction:
 
     def scale(self, c) -> "FockSuperfunction":
         return self._wrap(self.fun.scale(c))
-
-    def mul(self, other: "FockSuperfunction") -> "FockSuperfunction":
-        return self._wrap(smul(self.fun, other.fun))
 
 
 def _embed_with_conjugates(phi: FockSuperfunction, naux: int,

@@ -42,10 +42,9 @@ import numpy as np
 from .errors import ClassError, DimensionError, SingularityError
 from .exppoly import ExpPolyFunction
 from .grassmann import GrassmannElement
-from .starprod import context_signed_theta, star, star_general
+from .starprod import DeformationContext, star, star_general
 from .superfun import (
     Superfunction,
-    sconj,
     sf_max_dev,
     sintegrate,
     smul,
@@ -108,7 +107,7 @@ class QGroupContext:
     def star_context(self, t: float):
         if t == 0:
             raise SingularityError("the deformed product is singular at t = 0")
-        return context_signed_theta(float(t), self.m, self.n, self.odd_signature)
+        return DeformationContext(float(t), self.m, self.n, self.odd_signature)
 
 
 def _u_eval(u: ExpPolyFunction, t: float) -> complex:
@@ -299,7 +298,7 @@ def _split_leg(qctx: QGroupContext, G: Superfunction, j: int, nlegs: int):
         for term in fn.terms:
             A = term.A_matrix()
             cross = A[np.ix_(j_axes, rest_axes)]
-            scale = max(1.0, float(np.max(np.abs(A))))
+            scale = max(1.0, float(np.max(np.abs(A), initial=0.0)))
             if cross.size and float(np.max(np.abs(cross))) > 1e-13 * scale:
                 raise ClassError(
                     "term couples leg variables through a Gaussian block; "
@@ -382,7 +381,7 @@ def w_apply(qctx: QGroupContext, F, i: int, j: int) -> Deferred:
 
 
 def _z_pairing(a: Superfunction, b: Superfunction) -> complex:
-    return complex(sintegrate(smul(sconj(a), b)))
+    return complex(sintegrate(smul(a.conj(), b)))
 
 
 def _sample_elements(qctx: QGroupContext, rng, count: int,

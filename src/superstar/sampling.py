@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exppoly import ExpPolyFunction
-from .grassmann import AuxOddRing, GrassmannElement
+from .grassmann import GrassmannElement
 from .starprod import DeformationContext
 from .superfun import Superfunction
 
@@ -131,14 +131,15 @@ def random_integrable_factor(rng: np.random.Generator, ctx: DeformationContext,
 
 
 def random_odd_aux_shifts(rng: np.random.Generator, n: int,
-                          ring: AuxOddRing) -> list[GrassmannElement]:
-    """One odd auxiliary shift per ambient odd coordinate."""
+                          naux: int) -> list[GrassmannElement]:
+    """One odd shift on ``naux`` auxiliary generators per ambient odd coordinate."""
     shifts = []
     for _ in range(n):
-        s = ring.zero()
-        for j in range(1, ring.N + 1):
+        s = GrassmannElement.zero(naux)
+        for j in range(1, naux + 1):
             if rng.random() < 0.6:
-                s = s + ring.gen(j).scale(complex(rng.normal(), rng.normal()))
+                s = s + GrassmannElement.generator(naux, j).scale(
+                    complex(rng.normal(), rng.normal()))
         shifts.append(s)
     return shifts
 

@@ -45,7 +45,6 @@ from .superfun import Superfunction
 
 __all__ = [
     "DeformationContext",
-    "context_signed_theta",
     "star",
     "star_anticomm",
     "star_comm",
@@ -63,7 +62,12 @@ OddGen = tuple[int, int, float]
 
 @dataclass(frozen=True)
 class DeformationContext:
-    """Deformation data for R^{2m|n}: theta, dimensions, odd signature (p, q)."""
+    """Deformation data for R^{2m|n}: theta, dimensions, odd signature (p, q).
+
+    theta may have either sign (the quantum-supergroup module evaluates its
+    deferred products at sampled group coordinates t of both signs); it must
+    be nonzero and finite.
+    """
 
     theta: float
     m: int
@@ -78,8 +82,8 @@ class DeformationContext:
             raise ValueError(f"odd signature {self.odd_signature} incompatible with n={self.n}")
         if self.m < 0:
             raise ValueError("m must be >= 0")
-        if not (self.theta > 0 and isfinite(self.theta)):
-            raise ValueError(f"theta must be positive and finite, got {self.theta!r}")
+        if self.theta == 0 or not isfinite(self.theta):
+            raise ValueError(f"theta must be nonzero and finite, got {self.theta!r}")
 
     @property
     def eta(self) -> tuple[int, ...]:
@@ -145,27 +149,8 @@ class DeformationContext:
         }
 
 
-def context_signed_theta(theta: float, m: int, n: int,
-                         odd_signature: tuple[int, int] | None = None) -> DeformationContext:
-    """Context factory admitting theta of either sign (theta != 0).
-
-    The public constructor enforces theta > 0; the quantum-supergroup module
-    evaluates its deferred products at sampled group coordinates of either
-    sign, for which every engine formula remains well-defined.
-    """
-    if theta == 0 or not isfinite(theta):
-        raise ValueError(f"theta must be nonzero and finite, got {theta!r}")
-    if theta > 0:
-        return DeformationContext(theta, m, n, odd_signature)
-    ctx = object.__new__(DeformationContext)
-    object.__setattr__(ctx, "theta", float(theta))
-    object.__setattr__(ctx, "m", m)
-    object.__setattr__(ctx, "n", n)
-    object.__setattr__(ctx, "odd_signature", odd_signature if odd_signature else (n, 0))
-    p, q = ctx.odd_signature
-    if p < 0 or q < 0 or p + q != n:
-        raise ValueError("bad signature")
-    return ctx
+# The former signed-theta factory; ``bench/workloads.py`` still imports it.
+context_signed_theta = DeformationContext
 
 
 # ---------------------------------------------------------------------------

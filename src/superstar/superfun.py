@@ -16,7 +16,7 @@ along unchanged).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .grassmann import GrassmannElement, eps, indices_from_bits
 __all__ = [
     "Superfunction",
     "grassmann_translate",
-    "sconj",
     "sf_close",
     "sf_max_dev",
     "sintegrate",
@@ -83,13 +82,6 @@ class Superfunction:
         if not 1 <= index <= n:
             raise ValueError(f"odd index {index} not in 1..{n}")
         return cls(m, n, {1 << (index - 1): ExpPolyFunction.one(m)})
-
-    @classmethod
-    def aux_gen(cls, m: int, n: int, naux: int, index: int) -> "Superfunction":
-        """Auxiliary odd parameter with 1-based ``index`` among naux."""
-        if not 1 <= index <= naux:
-            raise ValueError(f"aux index {index} not in 1..{naux}")
-        return cls(m, n, {1 << (n + index - 1): ExpPolyFunction.one(m)}, naux)
 
     @classmethod
     def coordinate(cls, m: int, n: int, axis: int) -> "Superfunction":
@@ -285,10 +277,6 @@ def sintegrate(f: Superfunction):
     return elem
 
 
-def sconj(f: Superfunction) -> Superfunction:
-    return f.conj()
-
-
 def substitute(f: Superfunction, *, new_n: int | None = None, new_naux: int | None = None,
                even_M=None, even_v=None, new_m: int | None = None,
                odd_images: Sequence[GrassmannElement] | None = None) -> Superfunction:
@@ -343,8 +331,7 @@ def grassmann_translate(f: Superfunction, eta: Sequence[GrassmannElement | None]
     """Shift the ambient odd arguments: f(x, xi) -> f(x, xi + eta).
 
     ``eta`` has one entry per ambient odd coordinate; each entry is an odd
-    element of the auxiliary ring (a GrassmannElement on naux generators), or
-    None for no shift.  Even-parity entries are rejected.
+    GrassmannElement on the naux auxiliary generators, or None for no shift.  Even-parity entries are rejected.
     """
     shifts = list(eta)
     if len(shifts) != f.n:

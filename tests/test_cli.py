@@ -80,6 +80,18 @@ def test_star_theta_out_of_range_exits_2(capsys, theta):
     assert "Traceback" not in err
 
 
+def test_star_negative_theta_in_scientific_notation(capsys):
+    # argparse's own negative-number pattern has no exponent
+    code, rep = run_json(capsys, "star", "--theta", "-1e-3", "--m", "1",
+                         "x1 star x2")
+    assert code == 0
+    assert rep["context"]["theta"] == -0.001
+    (entry,) = rep["result"]
+    terms = {tuple(t["alpha"]): complex(*t["c"])
+             for t in entry["function"]["terms"]}
+    assert abs(terms[(0, 0)] - 0.0005j) <= 1e-18
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -103,6 +115,25 @@ def test_verify_unknown_suite_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "suite=nope")
     assert code == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize("n", ["0", "11"])
+def test_verify_eps_universe_out_of_range_exits_2(capsys, n):
+    # n = 0 has no overlapping subset pair: its first check would run 0 cases
+    code, out, err = run_cli(capsys, "verify", "eps", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "1..10" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+def test_verify_bad_tolerance_exits_2(capsys, tol):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "eps", "--tol", tol])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerance must be finite and >= 0" in captured.err
 
 
 def test_verify_deterministic_bytes(capsys):
@@ -181,6 +212,14 @@ def test_qgroup_pentagon(capsys):
     assert rep["passed"] is True
     assert rep["max_deviation"] <= 1e-8
     assert rep["superunitarity"]["modular_weight"] == 0.0
+
+
+def test_qgroup_pentagon_at_m_zero(capsys):
+    # no even coordinates: every Gaussian block of a leg split is empty
+    code, rep = run_json(capsys, "qgroup", "pentagon", "--m", "0", "--n", "2")
+    assert code == 0
+    assert rep["passed"] is True
+    assert len(rep["pentagon"]) == 5
 
 
 def test_qgroup_pentagon_zero_samples_exits_2(capsys):

@@ -195,7 +195,7 @@ def _keyed_integrand(rng, d: int, nkeys: int) -> ExpPolyFunction:
     return ExpPolyFunction(d, terms)
 
 
-def _max_rel_coeff_dev(f: ExpPolyFunction, g: ExpPolyFunction) -> float:
+def _max_rel_coefficient_dev(f: ExpPolyFunction, g: ExpPolyFunction) -> float:
     """Same keys required; then the largest coefficient deviation relative to
     the largest coefficient."""
     cf = {t.key: t.c for t in f.terms}
@@ -215,7 +215,7 @@ def test_keyed_reduction_equals_termwise_reduction(d, axes):
         whole = ep_integrate_partial(f, axes)
         singles = [ep_integrate_partial(ExpPolyFunction(d, [t]), axes) for t in f.terms]
         termwise = ExpPolyFunction(whole.d, [t for g in singles for t in g.terms])
-        assert _max_rel_coeff_dev(whole, termwise) <= 1e-12, (nkeys, axes)
+        assert _max_rel_coefficient_dev(whole, termwise) <= 1e-12, (nkeys, axes)
 
 
 def test_keyed_reduction_raises_on_the_one_inadmissible_key():

@@ -1,4 +1,4 @@
-"""Exterior-algebra index calculus: signs, products, Hodge map, aux parameters."""
+"""Exterior-algebra index calculus: signs, products, parity, aux parameters as flat bits."""
 
 from itertools import product
 
@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superstar.grassmann import (
-    AuxOddRing,
     GrassmannElement,
     bits_from_indices,
     eps,
@@ -135,125 +134,22 @@ def test_wedge_associative_and_distributive(a, b, c):
 
 
 # ---------------------------------------------------------------------------
-# top coefficient / hodge
-
-
-def test_top_coefficient():
-    a = GrassmannElement(2, {0b11: 5.0})
-    assert a.top_coefficient() == 5.0
-    b = GrassmannElement(2, {0b01: 3.0})
-    assert b.top_coefficient() == 0j
-
-
-@settings(max_examples=100, deadline=None)
-@given(elements(3), elements(3))
-def test_top_coefficient_linear(a, b):
-    assert (a + b).top_coefficient() == a.top_coefficient() + b.top_coefficient()
-
-
-def test_hodge_examples():
-    # n=1: a + b*xi  ->  b + a*xi
-    e = GrassmannElement(1, {0: 2.0, 1: 7.0})
-    assert e.hodge() == GrassmannElement(1, {0: 7.0, 1: 2.0})
-    # n=2
-    assert xi(2, 1).hodge() == xi(2, 2)
-
-
-def test_hodge_involution_sign():
-    # hodge(hodge(xi^I)) = (-1)^{(n+1)|I|} xi^I
-    for n in range(6):
-        for I in range(1 << n):
-            a = GrassmannElement.monomial(n, I)
-            sign = -1.0 if ((n + 1) * I.bit_count()) % 2 else 1.0
-            assert a.hodge().hodge() == sign * a
-
-
-# ---------------------------------------------------------------------------
-# auxiliary odd parameters
-
-
-def flatten(elem: GrassmannElement, N: int) -> GrassmannElement:
-    """Embed an aux-valued element into the scalar algebra on n + N generators.
-
-    A term u * xi^I with u = sum v_K eta^K maps to sum v_K eta^K xi^I, where
-    the aux generators are appended after the ambient ones.  This is the
-    reference model for the Koszul sign conventions.
-    """
-    n = elem.n
-    big = GrassmannElement.zero(n + N)
-    for I, c in elem.coeffs.items():
-        if isinstance(c, GrassmannElement):
-            assert c.n == N
-            for K, v in c.coeffs.items():
-                term = GrassmannElement.monomial(n + N, K << n, v).wedge(
-                    GrassmannElement.monomial(n + N, I))
-                big = big + term
-        else:
-            big = big + GrassmannElement.monomial(n + N, I, c)
-    return big
-
-
-def aux_valued_elements(n: int, N: int):
-    aux = st.dictionaries(
-        keys=st.integers(min_value=0, max_value=(1 << N) - 1),
-        values=small_complex,
-        max_size=3,
-    ).map(lambda d: GrassmannElement(N, d))
-    return st.dictionaries(
-        keys=st.integers(min_value=0, max_value=(1 << n) - 1),
-        values=st.one_of(small_complex, aux),
-        max_size=4,
-    ).map(lambda d: GrassmannElement(n, d))
-
-
-@settings(max_examples=200, deadline=None)
-@given(aux_valued_elements(3, 2), aux_valued_elements(3, 2))
-def test_aux_valued_wedge_matches_flattened_algebra(a, b):
-    assert flatten(a.wedge(b), 2) == flatten(a, 2).wedge(flatten(b, 2))
-
-
-@settings(max_examples=150, deadline=None)
-@given(aux_valued_elements(2, 2), aux_valued_elements(2, 2), aux_valued_elements(2, 2))
-def test_aux_valued_wedge_associative(a, b, c):
-    assert (a * b) * c == a * (b * c)
-
-
-@settings(max_examples=150, deadline=None)
-@given(aux_valued_elements(3, 2))
-def test_dagger_matches_flattened_and_involutes(a):
-    assert flatten(a.dagger(), 2) == flatten(a, 2).dagger()
-    assert a.dagger().dagger() == a
-
-
-def test_dagger_reversal_signs():
-    # (xi^{1,2})^dagger = xi^2 xi^1 = -xi^{1,2}
-    assert xi(2, 1, 2).dagger() == -xi(2, 1, 2)
-    assert (1j * xi(1, 1)).dagger() == -1j * xi(1, 1)
+# auxiliary odd parameters: further bits of the flat word
 
 
 def test_aux_ring_generators_anticommute():
-    ring = AuxOddRing(2)
-    e1, e2 = ring.gen(1), ring.gen(2)
-    assert e1 * e1 == ring.zero()
+    e1, e2 = GrassmannElement.generator(2, 1), GrassmannElement.generator(2, 2)
+    assert e1 * e1 == GrassmannElement.zero(2)
     assert e1 * e2 == -(e2 * e1)
     with pytest.raises(ValueError):
-        ring.gen(3)
-
-
-def test_aux_scalar_coefficient_collapses():
-    # an aux-valued coefficient with only a scalar part normalizes to complex
-    ring = AuxOddRing(2)
-    e = GrassmannElement(1, {1: ring.scalar(4.0)})
-    assert e == GrassmannElement(1, {1: 4.0})
+        GrassmannElement.generator(2, 3)
 
 
 def test_parity_query():
-    ring = AuxOddRing(2)
     assert GrassmannElement.zero(2).parity() == 0
     assert xi(2, 1).parity() == 1
     assert xi(2, 1, 2).parity() == 0
     assert (xi(2, 1) + xi(2, 2)).parity() == 1
     assert (GrassmannElement.one(2) + xi(2, 1)).parity() is None
-    # odd aux coefficient on an odd monomial: total parity even
-    e = GrassmannElement(2, {0b01: ring.gen(1)})
-    assert e.parity() == 0
+    # odd ambient generator times an odd auxiliary bit: total parity even
+    assert xi(4, 1, 3).parity() == 0

@@ -5,7 +5,7 @@ import pytest
 
 from superstar.errors import DimensionError, ParityError
 from superstar.exppoly import ExpPolyFunction
-from superstar.grassmann import AuxOddRing, GrassmannElement
+from superstar.grassmann import GrassmannElement
 from superstar.heisenberg import (
     GroupElement,
     HeisenbergContext,
@@ -19,7 +19,10 @@ from superstar.superfun import Superfunction, sf_max_dev
 
 CTX = HeisenbergContext(0.7, 1, 1, 1)
 NAUX = 4
-RING = AuxOddRing(NAUX)
+
+
+def aux(j: int) -> GrassmannElement:
+    return GrassmannElement.generator(NAUX, j)
 
 
 def ge_is_zero(e: GrassmannElement) -> bool:
@@ -35,7 +38,7 @@ def rand_odd(rng, *, real=False, dyadic=False):
                             0 if real else int(rng.integers(-4, 5)) / 2)
             else:
                 c = complex(rng.normal(), 0 if real else rng.normal())
-            e = e + RING.gen(j).scale(c)
+            e = e + aux(j).scale(c)
     return e
 
 
@@ -137,12 +140,12 @@ def test_group_element_validation():
     with pytest.raises(DimensionError):
         GroupElement.make(CTX, q=[0.1, 0.2])
     with pytest.raises(ParityError):
-        GroupElement.make(CTX, xi=[RING.gen(1).wedge(RING.gen(2))],
-                          eta=[RING.gen(1)], naux=NAUX)
+        GroupElement.make(CTX, xi=[aux(1).wedge(aux(2))],
+                          eta=[aux(1)], naux=NAUX)
     with pytest.raises(ParityError):
-        GroupElement.make(CTX, t=RING.gen(1))
+        GroupElement.make(CTX, t=aux(1))
     small = HeisenbergContext(0.7, 0, 1, 0)
-    g = GroupElement.make(small, xi=[RING.gen(1)], eta=[RING.gen(2)], naux=NAUX)
+    g = GroupElement.make(small, xi=[aux(1)], eta=[aux(2)], naux=NAUX)
     with pytest.raises(DimensionError):
         g.check_dims(CTX)
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from superstar import starprod
 from superstar.errors import ClassError, DimensionError, DivergenceError, ParityError
 from superstar.exppoly import ExpPolyFunction, ep_max_dev
-from superstar.grassmann import AuxOddRing
 from superstar.sampling import (
     random_integrable_factor,
     random_odd_aux_shifts,
@@ -21,7 +20,6 @@ from superstar.sampling import (
 from superstar.starprod import (
     DeformationContext,
     _odd_star_pair,
-    context_signed_theta,
     star,
     star_anticomm,
     star_comm,
@@ -31,7 +29,6 @@ from superstar.starprod import (
 from superstar.superfun import (
     Superfunction,
     grassmann_translate,
-    sconj,
     sf_close,
     sf_max_dev,
     sintegrate,
@@ -81,7 +78,7 @@ def closed_unit_norm(eta) -> complex:
 
 
 def test_ledger_constants():
-    for ctx in CONTEXTS + _star_pool() + [context_signed_theta(-1.7, 0, 3, (1, 2))]:
+    for ctx in CONTEXTS + _star_pool() + [DeformationContext(-1.7, 0, 3, (1, 2))]:
         led = ctx.ledger
         assert led["unit_norm"] == closed_unit_norm(ctx.eta)
         assert led["sigma"] == -1
@@ -307,12 +304,11 @@ def test_translation_invariance_even():
 
 def test_translation_invariance_odd():
     rng = np.random.default_rng(43)
-    ring = AuxOddRing(2)
     for ctx in (CONTEXTS[1], CONTEXTS[3]):
         for _ in range(6):
             f = random_star_factor(rng, ctx)
             g = random_star_factor(rng, ctx)
-            eta = random_odd_aux_shifts(rng, ctx.n, ring)
+            eta = random_odd_aux_shifts(rng, ctx.n, 2)
             lhs = star(ctx, grassmann_translate(f, eta), grassmann_translate(g, eta))
             rhs = grassmann_translate(star(ctx, f, g), eta)
             assert sf_max_dev(lhs, rhs) <= 1e-10
@@ -327,8 +323,8 @@ def test_superinvolution_compatibility():
         f = Superfunction(2, 2, {wf: random_star_factor(rng, ctx).coefficient(0)})
         g = Superfunction(2, 2, {wg: random_star_factor(rng, ctx).coefficient(0)})
         sign = -1.0 if (bin(wf).count("1") * bin(wg).count("1")) % 2 else 1.0
-        lhs = sconj(star(ctx, f, g))
-        rhs = star(ctx, sconj(g), sconj(f)).scale(sign)
+        lhs = star(ctx, f, g).conj()
+        rhs = star(ctx, g.conj(), f.conj()).scale(sign)
         assert sf_max_dev(lhs, rhs) <= 1e-10
 
 
@@ -490,8 +486,11 @@ def test_one_eigendecomposition_per_exponent_key():
 def test_context_validation():
     with pytest.raises(ValueError):
         DeformationContext(0.0, 1, 0)
+    # a negative theta is a valid deformation parameter
+    assert DeformationContext(-1.0, 1, 0).theta == -1.0
+    # m < 0 is rejected whatever the sign of theta
     with pytest.raises(ValueError):
-        DeformationContext(-1.0, 1, 0)
+        DeformationContext(-1.0, -3, 0)
     for theta in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             DeformationContext(theta, 1, 0)
@@ -502,9 +501,9 @@ def test_context_validation():
 def test_signed_theta_contexts():
     for theta in (0.0, float("-inf"), float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            context_signed_theta(theta, 1, 0)
+            DeformationContext(theta, 1, 0)
     for theta in (0.9, -0.9):
-        ctx = context_signed_theta(theta, 1, 0)
+        ctx = DeformationContext(theta, 1, 0)
         x1 = Superfunction.coordinate(2, 0, 0)
         x2 = Superfunction.coordinate(2, 0, 1)
         comm = star(ctx, x1, x2) - star(ctx, x2, x1)

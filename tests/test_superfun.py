@@ -7,11 +7,10 @@ import pytest
 
 from superstar.errors import ParityError
 from superstar.exppoly import ExpPolyFunction
-from superstar.grassmann import AuxOddRing, GrassmannElement
+from superstar.grassmann import GrassmannElement
 from superstar.superfun import (
     Superfunction,
     grassmann_translate,
-    sconj,
     sf_close,
     sf_max_dev,
     sintegrate,
@@ -120,15 +119,15 @@ def test_sintegrate_aux_valued():
 # conjugation
 
 
-def test_sconj_examples():
+def test_conj_examples():
     f = Superfunction(0, 1, {1: 1j})
-    assert sconj(f) == Superfunction(0, 1, {1: -1j})
+    assert f.conj() == Superfunction(0, 1, {1: -1j})
     rng = np.random.default_rng(RNG_SEED + 3)
     g = random_superfunction(rng, 1, 2, naux=1)
-    assert sconj(sconj(g)) == g
+    assert g.conj().conj() == g
 
 
-def test_sconj_superinvolution_law():
+def test_conj_superinvolution_law():
     rng = np.random.default_rng(RNG_SEED + 4)
     for _ in range(40):
         m, n = 1, 3
@@ -137,7 +136,7 @@ def test_sconj_superinvolution_law():
         f = Superfunction(m, n, {wf: gauss(m) * complex(rng.normal(), rng.normal())})
         g = Superfunction(m, n, {wg: ExpPolyFunction.monomial(m, (1,), complex(rng.normal(), rng.normal()))})
         sign = -1.0 if (wf.bit_count() * wg.bit_count()) % 2 else 1.0
-        assert sf_max_dev(sconj(smul(f, g)), smul(sconj(g), sconj(f)).scale(sign)) < 1e-12
+        assert sf_max_dev(smul(f, g).conj(), smul(g.conj(), f.conj()).scale(sign)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -145,38 +144,36 @@ def test_sconj_superinvolution_law():
 
 
 def test_grassmann_translate_basic():
-    ring = AuxOddRing(1)
     f = Superfunction.xi(0, 1, 1)
-    shifted = grassmann_translate(f, [ring.gen(1)])
+    shifted = grassmann_translate(f, [GrassmannElement.generator(1, 1)])
     want = Superfunction(0, 1, {0b01: 1.0, 0b10: 1.0}, naux=1)  # xi + eta
     assert shifted == want
 
 
 def test_grassmann_translate_group_law():
-    ring = AuxOddRing(2)
+    e1, e2 = GrassmannElement.generator(2, 1), GrassmannElement.generator(2, 2)
     rng = np.random.default_rng(RNG_SEED + 5)
     f = random_superfunction(rng, 1, 2, nterms=3)
-    eta = [ring.gen(1), ring.gen(2)]
-    minus = [-ring.gen(1), -ring.gen(2)]
+    eta = [e1, e2]
+    minus = [-e1, -e2]
     back = grassmann_translate(grassmann_translate(f, eta), minus)
     assert sf_max_dev(back, Superfunction(f.m, f.n, f.terms, naux=2)) < 1e-12
 
 
 def test_grassmann_translate_parity_error():
-    ring = AuxOddRing(2)
+    e1, e2 = GrassmannElement.generator(2, 1), GrassmannElement.generator(2, 2)
     f = Superfunction.xi(0, 1, 1)
     with pytest.raises(ParityError):
-        grassmann_translate(f, [ring.one()])
+        grassmann_translate(f, [GrassmannElement.one(2)])
     with pytest.raises(ParityError):
-        grassmann_translate(f, [ring.gen(1) * ring.gen(2) + ring.gen(1)])
+        grassmann_translate(f, [e1 * e2 + e1])
 
 
 def test_berezin_invariant_under_odd_shifts():
     # R^{0|2}, every monomial with scalar and aux-valued coefficients, all
     # combinations of generator shifts: the integral never moves.
-    ring = AuxOddRing(2)
-    shift_choices = [None, ring.gen(1), ring.gen(2),
-                     ring.gen(1) + ring.gen(2), -ring.gen(1)]
+    e1, e2 = GrassmannElement.generator(2, 1), GrassmannElement.generator(2, 2)
+    shift_choices = [None, e1, e2, e1 + e2, -e1]
     for word in range(4):
         for c in [1.0, 2j]:
             f = Superfunction(0, 2, {word: c})
@@ -185,7 +182,7 @@ def test_berezin_invariant_under_odd_shifts():
                 for s2 in shift_choices:
                     shifted = grassmann_translate(f, [s1, s2])
                     val = sintegrate(shifted)
-                    # compare as aux-ring elements
+                    # compare as elements over the auxiliary generators
                     lhs = val if isinstance(val, GrassmannElement) else GrassmannElement.scalar(2, val)
                     rhs = base if isinstance(base, GrassmannElement) else GrassmannElement.scalar(2, base)
                     assert lhs == rhs, (word, c, s1, s2)

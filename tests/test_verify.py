@@ -32,6 +32,11 @@ def test_report_schema_and_json_safety():
                           "passed"}
 
 
+def test_check_with_no_cases_does_not_pass():
+    assert verify._check("empty", 0, 0.0, 1.0)["passed"] is False
+    assert verify._check("one", 1, 0.0, 1.0)["passed"] is True
+
+
 def test_eps_universe_size_is_configurable():
     rep3 = run_suite("eps", n=3)
     rep4 = run_suite("eps", n=4)
