@@ -38,7 +38,7 @@ import re
 import sys
 
 from .errors import DimensionError
-from .expr import ExpressionError, evaluate, parse, print_expression
+from .expr import ExpressionError, _fmt_real, evaluate, parse, print_expression
 from .gwaction import verify_gw
 from .qgroup import QGroupContext, pentagon_check
 from .starprod import DeformationContext
@@ -106,12 +106,6 @@ def _emit(report: dict, json_out: str | None) -> None:
             fh.write(text)
 
 
-def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -158,13 +152,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_supertorus(args: argparse.Namespace) -> int:
+    if args.theta is not None and not math.isfinite(args.theta):
+        raise ValueError(f"theta must be finite, got {args.theta!r}")
     tokens, coeff = parse_torus_tokens(args.word)
     m = max([i for g, i, _ in tokens if g in ("U", "V")], default=1)
     p = max([i for g, i, _ in tokens if g == "G"], default=0)
     q = max([i for g, i, _ in tokens if g == "X"], default=0)
     element = torus_normal_form(tokens, m=m, p=p, q=q, coeff=coeff)
 
-    theta_txt = "theta" if args.theta is None else _fmt_num(args.theta)
+    theta_txt = "theta" if args.theta is None else _fmt_real(args.theta)
     entries = []
     for word in sorted(element.words):
         u_exp, v_exp, g_word, x_word = word
@@ -184,7 +180,7 @@ def _cmd_supertorus(args: argparse.Namespace) -> int:
             (theta_pow, phase_k), c = terms[0]
             entry["coefficient"] = [c.real, c.imag]
             entry["theta_power"] = theta_pow
-            entry["phase"] = (f"exp({_fmt_num(2 * phase_k)}*pi*i*{theta_txt})"
+            entry["phase"] = (f"exp({_fmt_real(2 * phase_k)}*pi*i*{theta_txt})"
                               if phase_k else "1")
         else:
             entry["scalar"] = str(scalar)

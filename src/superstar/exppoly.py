@@ -17,7 +17,8 @@ linear algebra work per key rather than per term: :func:`ep_integrate_partial`
 computes the eigenvalues, inverse and Schur complement of the integrated block
 once per quadratic form A and the linear data once per key, and
 :meth:`ExpPolyFunction.affine` substitutes each key and each monomial exponent
-once.  Storage stays a tuple of :class:`ExpPolyTerm` in merged normal form.
+once.  A function holds a tuple of :class:`ExpPolyTerm` with distinct keys in
+first-seen order; equality ignores that order, and only the JSON form sorts.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "ExpPolyFunction",
     "ExpPolyTerm",
     "ep_equal",
+    "ep_from_distinct",
     "ep_integrate",
     "ep_integrate_partial",
     "ep_mul",
@@ -42,9 +44,6 @@ __all__ = [
 
 # Relative threshold deciding "zero" for eigenvalue/definiteness questions.
 _EIG_TOL = 1e-12
-# Relative magnitude below which accumulated float-noise terms may be dropped
-# by chop(); never applied implicitly.
-_CHOP_REL = 1e-14
 
 
 def _ut_from_matrix(A: np.ndarray) -> tuple[complex, ...]:
@@ -95,45 +94,23 @@ class ExpPolyTerm:
         re = np.real(self.A_matrix())
         return bool(np.max(np.linalg.eigvalsh(re)) < -_EIG_TOL)
 
-    @property
-    def fresnel(self) -> bool:
-        """Epsilon-regularized limit exists in closed form.
-
-        Criterion: Re(A) negative semidefinite and A invertible.  Along
-        A - eps*Id the Gaussian formula is exact for every eps > 0 and each
-        determinant eigenvalue converges on the principal branch, so the
-        limit exists iff no eigenvalue of A hits zero.
-        """
-        if self.d == 0:
-            return True
-        A = self.A_matrix()
-        if np.max(np.linalg.eigvalsh(np.real(A))) > _EIG_TOL:
-            return False
-        mu = np.linalg.eigvals(-A)
-        scale = max(1.0, float(np.max(np.abs(mu))) if mu.size else 1.0)
-        return bool(np.min(np.abs(mu)) > _EIG_TOL * scale)
-
-    def __repr__(self):
-        return f"ExpPolyTerm(c={self.c!r}, alpha={self.alpha}, A_ut={self.A_ut}, b={self.b})"
-
 
 def _merge_terms(d: int, terms: Iterable[ExpPolyTerm]) -> tuple[ExpPolyTerm, ...]:
+    """Sum coefficients per key in first-seen order; drop exact zeros."""
     acc: dict[tuple, complex] = {}
     for t in terms:
         if len(t.alpha) != d:
             raise ValueError(f"term dimension {len(t.alpha)} != {d}")
         acc[t.key] = acc.get(t.key, 0j) + complex(t.c)
-    out = [ExpPolyTerm(c, *key) for key, c in acc.items() if c != 0]
-    out.sort(key=lambda t: (
-        t.alpha,
-        tuple((z.real, z.imag) for z in t.A_ut),
-        tuple((z.real, z.imag) for z in t.b),
-    ))
-    return tuple(out)
+    return tuple(ExpPolyTerm(c, *key) for key, c in acc.items() if c != 0)
 
 
 class ExpPolyFunction:
-    """Finite sum of :class:`ExpPolyTerm` on R^d, kept in merged normal form."""
+    """Finite sum of :class:`ExpPolyTerm` on R^d.
+
+    ``terms`` holds one nonzero term per key (alpha, A, b), in the order the
+    keys were first seen; equality compares the {key: coefficient} maps.
+    """
 
     __slots__ = ("d", "terms")
 
@@ -151,10 +128,7 @@ class ExpPolyFunction:
 
     @classmethod
     def const(cls, d: int, c) -> "ExpPolyFunction":
-        zero_alpha = (0,) * d
-        zero_A = (0j,) * (d * (d + 1) // 2)
-        zero_b = (0j,) * d
-        return cls(d, (ExpPolyTerm(complex(c), zero_alpha, zero_A, zero_b),))
+        return cls.monomial(d, (0,) * d, c)
 
     @classmethod
     def one(cls, d: int) -> "ExpPolyFunction":
@@ -207,7 +181,7 @@ class ExpPolyFunction:
 
     def scale(self, c) -> "ExpPolyFunction":
         c = complex(c)
-        return ExpPolyFunction(
+        return ep_from_distinct(
             self.d, (ExpPolyTerm(c * t.c, t.alpha, t.A_ut, t.b) for t in self.terms))
 
     def __mul__(self, other):
@@ -220,23 +194,12 @@ class ExpPolyFunction:
 
     def conj(self) -> "ExpPolyFunction":
         """Pointwise complex conjugate (the argument x is real)."""
-        return ExpPolyFunction(
+        return ep_from_distinct(
             self.d,
             (ExpPolyTerm(t.c.conjugate(), t.alpha,
                          tuple(z.conjugate() for z in t.A_ut),
                          tuple(z.conjugate() for z in t.b))
              for t in self.terms))
-
-    def chop(self, rel: float = _CHOP_REL) -> "ExpPolyFunction":
-        """Drop terms whose coefficient is negligible relative to the largest."""
-        if not self.terms:
-            return self
-        top = max(abs(t.c) for t in self.terms)
-        keep = tuple(t for t in self.terms if abs(t.c) > rel * top)
-        out = ExpPolyFunction.__new__(ExpPolyFunction)
-        out.d = self.d
-        out.terms = keep
-        return out
 
     @property
     def is_zero(self) -> bool:
@@ -245,10 +208,6 @@ class ExpPolyFunction:
     @property
     def integrable(self) -> bool:
         return all(t.integrable for t in self.terms)
-
-    @property
-    def fresnel_ok(self) -> bool:
-        return all(t.integrable or t.fresnel for t in self.terms)
 
     # -- calculus ------------------------------------------------------
 
@@ -341,6 +300,12 @@ class ExpPolyFunction:
         return complex(vals[0]) if single else vals
 
     def to_json_dict(self) -> dict:
+        """Terms sorted by alpha, then A and b as (re, im) pairs."""
+        terms = sorted(self.terms, key=lambda t: (
+            t.alpha,
+            tuple((z.real, z.imag) for z in t.A_ut),
+            tuple((z.real, z.imag) for z in t.b),
+        ))
         return {
             "d": self.d,
             "terms": [
@@ -351,7 +316,7 @@ class ExpPolyFunction:
                           for row in t.A_matrix().tolist()],
                     "b": [[z.real, z.imag] for z in t.b],
                 }
-                for t in self.terms
+                for t in terms
             ],
         }
 
@@ -371,10 +336,8 @@ class ExpPolyFunction:
     def __eq__(self, other):
         if not isinstance(other, ExpPolyFunction):
             return NotImplemented
-        return self.d == other.d and self.terms == other.terms
-
-    def __hash__(self):  # pragma: no cover
-        return hash((self.d, self.terms))
+        return (self.d == other.d
+                and {t.key: t.c for t in self.terms} == {t.key: t.c for t in other.terms})
 
     def __repr__(self):
         if not self.terms:
@@ -397,6 +360,17 @@ def ep_mul(f: ExpPolyFunction, g: ExpPolyFunction) -> ExpPolyFunction:
                                    tuple(map(add, s.A_ut, t.A_ut)),
                                    tuple(map(add, s.b, t.b))))
     return ExpPolyFunction(f.d, out)
+
+
+def ep_from_distinct(d: int, terms: Iterable[ExpPolyTerm]) -> ExpPolyFunction:
+    """A function from terms whose keys are already distinct, without merging.
+
+    Only exact zeros are dropped, so scaling by 0 or an underflow leaves none.
+    """
+    out = ExpPolyFunction.__new__(ExpPolyFunction)
+    out.d = d
+    out.terms = tuple(t for t in terms if t.c != 0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +472,10 @@ def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int]) -> ExpPolyFunc
     Raises DivergenceError when a quadratic form is neither integrable nor
     Fresnel on the integrated block.
     """
-    axes = sorted(set(int(a) for a in axes))
-    if any(a < 0 or a >= f.d for a in axes):
-        raise ValueError(f"axes {axes} out of range for d={f.d}")
+    wanted = {int(a) for a in axes}
+    axes = [i for i in range(f.d) if i in wanted]
+    if len(axes) != len(wanted):
+        raise ValueError(f"axes {wanted} out of range for d={f.d}")
     if not axes:
         return f
     keep = [i for i in range(f.d) if i not in axes]
@@ -585,7 +560,7 @@ def ep_equal(f: ExpPolyFunction, g: ExpPolyFunction, tol: float = 1e-10) -> bool
     """Structural equality of normal forms, else pointwise on the fixed grid."""
     if f.d != g.d:
         return False
-    if f.terms == g.terms:
+    if f == g:
         return True
     return ep_max_dev(f, g) <= tol
 

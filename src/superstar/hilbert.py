@@ -108,12 +108,6 @@ class FockSuperfunction:
         return cls(m, r, s, Superfunction.one(m, r + s))
 
     @classmethod
-    def from_words(cls, m: int, r: int, s: int,
-                   terms: dict[int, ExpPolyFunction],
-                   naux: int = 0) -> "FockSuperfunction":
-        return cls(m, r, s, Superfunction(m, r + s, terms, naux))
-
-    @classmethod
     def xi(cls, m: int, r: int, s: int, index: int) -> "FockSuperfunction":
         if not 1 <= index <= r:
             raise ValueError(f"xi index {index} not in 1..{r}")

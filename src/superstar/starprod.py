@@ -24,8 +24,9 @@ sum_k (1/k!) (sigma i theta/2)^k omega^{mu1 nu1} ... (d..f)(d..g) for
 polynomial factors, uses the exact closed phase for plane-wave factors, and
 Berezin-integrates the odd kernel factor prod_a (1 - (2i/theta) eta_a xi1^a
 xi2^a), divided by its closed-form value on 1 * 1 ("unit_norm").  The engine
-and the oracle share no code in either sector.  The convention constants
-(sigma, the Clifford constants c_plus, unit_norm) live in
+and the oracle share no code in either sector, and the oracle states its own
+sign sigma = -1 rather than reading the one the engine gives.  The convention
+constants (sigma, the Clifford constants c_plus, unit_norm) live in
 ``DeformationContext.ledger``.
 """
 
@@ -309,10 +310,16 @@ def _is_plane_wave(f: ExpPolyFunction) -> bool:
                and all(z.real == 0 for z in t.b) for t in f.terms)
 
 
+# The kernel convention e^{-(2i/theta) omega}: [x^mu, x^nu] = sigma i theta
+# omega^{mu nu}.  Stated, not measured, so an engine sign error cannot reach
+# the oracle.
+_SIGMA = -1
+
+
 def _oracle_even_pair(ff: ExpPolyFunction, gg: ExpPolyFunction, theta: float,
-                      sigma: int, Om: np.ndarray) -> ExpPolyFunction:
+                      Om: np.ndarray) -> ExpPolyFunction:
     d = ff.d
-    lam = sigma * 1j * theta / 2
+    lam = _SIGMA * 1j * theta / 2
     if _is_plane_wave(ff) and _is_plane_wave(gg):
         out = []
         for s in ff.terms:
@@ -320,7 +327,7 @@ def _oracle_even_pair(ff: ExpPolyFunction, gg: ExpPolyFunction, theta: float,
                 k1 = np.asarray(s.b).imag
                 k2 = np.asarray(t.b).imag
                 u = float(k1 @ Om @ k2)
-                phase = complex(np.exp(-sigma * 1j * theta * u / 2))
+                phase = complex(np.exp(-_SIGMA * 1j * theta * u / 2))
                 b = tuple(x + y for x, y in zip(s.b, t.b))
                 out.append(ExpPolyTerm(s.c * t.c * phase, (0,) * d, s.A_ut, b))
         return ExpPolyFunction(d, out)
@@ -419,14 +426,13 @@ def star_oracle(ctx: DeformationContext, f: Superfunction, g: Superfunction) -> 
     if f.m != 2 * ctx.m or f.n != ctx.n:
         raise DimensionError("function does not match context")
     naux = f._unify(g)
-    sigma = ctx.ledger["sigma"]
     unit_norm = ctx.ledger["unit_norm"]
     Om = ctx.omega_even()
     theta_odd = float(ctx.theta) ** ctx.n
     out: dict[int, ExpPolyFunction] = {}
     for wf, ff in f.terms.items():
         for wg, gg in g.terms.items():
-            even = _oracle_even_pair(ff, gg, ctx.theta, sigma, Om)
+            even = _oracle_even_pair(ff, gg, ctx.theta, Om)
             if even.is_zero:
                 continue
             odd = _odd_star_pair(wf, wg, f.n, naux, ctx.odd_gens())

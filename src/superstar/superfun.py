@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionError, ParityError
-from .exppoly import ExpPolyFunction, ep_max_dev, ep_mul
+from .exppoly import ExpPolyFunction, ep_from_distinct, ep_max_dev, ep_mul
 from .grassmann import GrassmannElement, eps, indices_from_bits
 
 __all__ = [
@@ -122,11 +122,6 @@ class Superfunction:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def mul_even(self, f: ExpPolyFunction) -> "Superfunction":
-        """Multiply every coefficient by an even function."""
-        return Superfunction(self.m, self.n,
-                             {w: ep_mul(g, f) for w, g in self.terms.items()}, self.naux)
-
     def parity(self) -> int | None:
         """Total odd parity, or None when mixed; the zero function reports 0."""
         if not self.terms:
@@ -149,14 +144,8 @@ class Superfunction:
                 top = max(top, abs(t.c))
         if top == 0.0:
             return self
-        out: dict[int, ExpPolyFunction] = {}
-        for w, f in self.terms.items():
-            kept = tuple(t for t in f.terms if abs(t.c) > rel * top)
-            if kept:
-                g = ExpPolyFunction.__new__(ExpPolyFunction)
-                g.d = f.d
-                g.terms = kept
-                out[w] = g
+        out = {w: ep_from_distinct(f.d, (t for t in f.terms if abs(t.c) > rel * top))
+               for w, f in self.terms.items()}
         return Superfunction(self.m, self.n, out, self.naux)
 
     def body(self) -> ExpPolyFunction:
@@ -164,10 +153,6 @@ class Superfunction:
         return self.coefficient(0)
 
     # -- calculus ------------------------------------------------------
-
-    def derive_even(self, mu: int) -> "Superfunction":
-        return Superfunction(self.m, self.n,
-                             {w: f.derive(mu) for w, f in self.terms.items()}, self.naux)
 
     def derive_odd(self, index: int) -> "Superfunction":
         """Left derivative in the ambient odd generator xi^index (1-based)."""

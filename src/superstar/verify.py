@@ -753,13 +753,16 @@ def run_suite(name: str, *, seed: int = 0, tol: float | None = None,
             f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
     if name == "eps":
         return fn(n=n, tol=tol, seed=seed)
+    if n is not None:
+        raise ValueError(f"--n applies to the eps suite only, not to {name!r}")
     return fn(tol=tol, seed=seed)
 
 
 def run_all(*, seed: int = 0, tol: float | None = None,
             n: int | None = None) -> dict:
     """Run every suite and merge the reports, sorted by suite name."""
-    suites = [run_suite(nm, seed=seed, tol=tol, n=n) for nm in sorted(_SUITES)]
+    suites = [run_suite(nm, seed=seed, tol=tol, n=n if nm == "eps" else None)
+              for nm in sorted(_SUITES)]
     return {
         "suite": "all",
         "passed": all(s["passed"] for s in suites),

@@ -1,8 +1,12 @@
 """Command-line interface: subcommands, exit codes, deterministic JSON."""
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from superstar.cli import build_parser, main
 
@@ -136,6 +140,15 @@ def test_verify_bad_tolerance_exits_2(capsys, tol):
     assert "tolerance must be finite and >= 0" in captured.err
 
 
+def test_verify_n_on_other_suite_exits_2(capsys):
+    # --n sizes the eps universe only; any other suite would ignore it
+    code, out, err = run_cli(capsys, "verify", "hilbert", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert "eps" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_deterministic_bytes(capsys):
     _, out_a, _ = run_cli(capsys, "verify", "hilbert", "--seed", "5")
     _, out_b, _ = run_cli(capsys, "verify", "hilbert", "--seed", "5")
@@ -182,6 +195,34 @@ def test_normalize_mixed_word_powers(capsys):
     assert code == 0
     (entry,) = rep["normal_form"]
     assert entry["word"] == "U1^2 V2 G1 X1"
+
+
+def test_normalize_theta_printed_as_expressions_print_numbers(capsys):
+    # integral values without a fraction, others by repr, as the expression printer
+    for theta, text in (("2", "2"), ("0.25", "0.25"), ("1e20", "1e+20"), ("-3", "-3")):
+        code, rep = run_json(capsys, "supertorus", "normalize", "V1 U1", f"--theta={theta}")
+        assert code == 0
+        assert rep["phase"] == f"exp(-2*pi*i*{text})"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)
+def test_normalize_any_float_theta_exits_cleanly(theta):
+    # a non-finite theta is a usage error: exit 2, one line, no traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["supertorus", "normalize", "V1 U1", f"--theta={theta!r}"])
+    assert "Traceback" not in err.getvalue()
+    if math.isfinite(theta):
+        assert code == 0
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().splitlines() == [f"superstar: theta must be finite, got {theta!r}"]
 
 
 def test_normalize_garbage_exits_2(capsys):

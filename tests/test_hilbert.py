@@ -185,10 +185,10 @@ def test_fock_s1_general_element_oracle():
     rng = np.random.default_rng(101)
     for _ in range(20):
         a, al, c, ga = (complex(rng.normal(), rng.normal()) for _ in range(4))
-        phi = FockSuperfunction.from_words(0, 0, 1, {0: ExpPolyFunction.const(0, a),
-                                                     1: ExpPolyFunction.const(0, al)})
-        psi = FockSuperfunction.from_words(0, 0, 1, {0: ExpPolyFunction.const(0, c),
-                                                     1: ExpPolyFunction.const(0, ga)})
+        phi = FockSuperfunction(0, 0, 1, Superfunction(0, 1, {0: ExpPolyFunction.const(0, a),
+                                                              1: ExpPolyFunction.const(0, al)}))
+        psi = FockSuperfunction(0, 0, 1, Superfunction(0, 1, {0: ExpPolyFunction.const(0, c),
+                                                              1: ExpPolyFunction.const(0, ga)}))
         expected = (2 / THETA) * np.conj(a) * c + 2j * np.conj(al) * ga
         assert abs(inner_fock(THETA, phi, psi) - expected) < 1e-13
 

@@ -190,6 +190,22 @@ def test_engine_matches_series_oracle():
                 assert sf_max_dev(star(ctx, f, g), star_oracle(ctx, f, g)) <= 1e-12
 
 
+def test_oracle_catches_flipped_kernel(monkeypatch):
+    # negate theta in the engine's even kernel only; the oracle states its own
+    # sign, so on fresh contexts the two products must part
+    even_blocks = DeformationContext.even_blocks
+    monkeypatch.setattr(DeformationContext, "even_blocks",
+                        lambda self: tuple((c, -th) for c, th in even_blocks(self)))
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for ctx in (DeformationContext(THETA, 1, 0), DeformationContext(1.3, 2, 1, (1, 0))):
+        for _ in range(4):
+            f = random_oracle_factor(rng, ctx)
+            g = random_oracle_factor(rng, ctx)
+            worst = max(worst, sf_max_dev(star(ctx, f, g), star_oracle(ctx, f, g)))
+    assert worst > 1e-6
+
+
 def test_oracle_exhaustive_odd_monomials():
     for sig in [(2, 0), (1, 1)]:
         ctx = DeformationContext(THETA, 0, 2, sig)
@@ -347,7 +363,9 @@ def test_comm_anticomm_coordinate_closed_forms():
             grad = Superfunction.zero(2, 0)
             for nu in range(2):
                 if Om[mu, nu]:
-                    grad = grad + f.derive_even(nu).scale(Om[mu, nu])
+                    f_nu = Superfunction(f.m, f.n, {w: c.derive(nu) for w, c in f.terms.items()},
+                                         f.naux)
+                    grad = grad + f_nu.scale(Om[mu, nu])
             assert sf_max_dev(star_comm(ctx, x_mu, f),
                               grad.scale(-1j * THETA)) <= 1e-10
             assert sf_max_dev(star_anticomm(ctx, x_mu, f),

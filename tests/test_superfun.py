@@ -243,8 +243,20 @@ def test_parity_query():
     assert h.parity() == 0
 
 
+def test_chop_drops_noise_terms():
+    x = ExpPolyFunction.coordinate(1, 0)
+    f = Superfunction(1, 0, {0: x + ExpPolyFunction.const(1, 1e-18)})
+    assert len(f.chop().terms[0].terms) == 1
+    # the scale is the largest coefficient over all words: a 1e-18 term alone
+    # in one word is dropped against a unit term in another
+    g = Superfunction(1, 1, {0: x, 1: ExpPolyFunction.const(1, 1e-18)})
+    chopped = g.chop()
+    assert set(chopped.terms) == {0}
+    assert chopped.terms[0].terms[0] is g.terms[0].terms[0]
+
+
 def test_sf_close():
-    f = Superfunction.xi(1, 1, 1).mul_even(gauss(1))
+    f = Superfunction(1, 1, {1: gauss(1)})
     g = f + Superfunction(1, 1, {1: ExpPolyFunction.const(1, 1e-13)})
     assert sf_close(f, g, tol=1e-10)
     assert not sf_close(f, g, tol=1e-16)
