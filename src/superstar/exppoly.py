@@ -19,6 +19,14 @@ once per quadratic form A and the linear data once per key, and
 :meth:`ExpPolyFunction.affine` substitutes each key and each monomial exponent
 once.  A function holds a tuple of :class:`ExpPolyTerm` with distinct keys in
 first-seen order; equality ignores that order, and only the JSON form sorts.
+
+A kernel integral on a doubled space, where the integrated block is
+[[P, X], [X^T, Q]] with a known oscillatory coupling X, passes X^{-1} to
+:func:`ep_integrate_partial`.  The inverse then comes from the Schur complement
+through X, and the result is divided by the bare kernel's integral.  When P or
+Q vanishes (a polynomial or plane-wave factor) the inverse and that
+normalization are exact: the blocks that are zero in exact arithmetic are zero,
+no eigenvalues are computed, and the normalization is exactly 1.
 """
 
 from __future__ import annotations
@@ -451,7 +459,8 @@ def _affine_monomial_expand(rows, powers, k: int) -> dict[tuple, complex]:
     return acc
 
 
-def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int]) -> ExpPolyFunction:
+def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int], *,
+                         kernel_inv: np.ndarray | None = None) -> ExpPolyFunction:
     """Integrate out the given axes exactly; remaining axes keep their order.
 
     The integral over y (the selected axes) of y^beta e^{y^T Ayy y + s(u).y}
@@ -469,6 +478,16 @@ def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int]) -> ExpPolyFunc
     (b_y + B u)^gamma for each distinct gamma.  The coefficients of a key are
     summed in one dict, in term order, before any term is built.
 
+    ``kernel_inv`` is for kernel integrals on a doubled space: the integrated
+    axes split into halves z1, z2, every integrated block is
+    Ayy = [[P, X], [X^T, Q]] with one purely imaginary coupling X, and
+    ``kernel_inv`` is its exact inverse.  Then C is the Schur complement
+    through X (:func:`_kernel_inverse`), and the result is divided by the bare
+    kernel's integral pi^{l/2} |det X^{-1}|.  When P or Q is zero,
+    det(-Ayy) = det(-X)^2 (-1)^{l/2} does not depend on the other block, so
+    the normalized Z is exactly 1 and no eigenvalues are computed; the
+    admissibility test is then the one on Re(Ayy) = diag(Re P, Re Q).
+
     Raises DivergenceError when a quadratic form is neither integrable nor
     Fresnel on the integrated block.
     """
@@ -478,34 +497,83 @@ def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int]) -> ExpPolyFunc
         raise ValueError(f"axes {wanted} out of range for d={f.d}")
     if not axes:
         return f
+    kernel = None
+    if kernel_inv is not None:
+        kernel_inv = np.asarray(kernel_inv, dtype=complex)
+        if 2 * len(kernel_inv) != len(axes):
+            raise ValueError(f"kernel block of size {len(kernel_inv)} does not "
+                             f"split {len(axes)} integrated axes")
+        kernel = (kernel_inv, abs(np.linalg.det(kernel_inv)))
     keep = [i for i in range(f.d) if i not in axes]
     groups: dict[tuple, dict[tuple, list[ExpPolyTerm]]] = {}
     for t in f.terms:
         groups.setdefault(t.A_ut, {}).setdefault(t.b, []).append(t)
     out_terms: list[ExpPolyTerm] = []
     for by_b in groups.values():
-        out_terms.extend(_integrate_form(by_b, axes, keep))
+        out_terms.extend(_integrate_form(by_b, axes, keep, kernel))
     return ExpPolyFunction(len(keep), out_terms)
 
 
+def _kernel_inverse(P: np.ndarray, X: np.ndarray, Q: np.ndarray,
+                    x_inv: np.ndarray) -> np.ndarray:
+    """[[P, X], [X^T, Q]]^{-1} for symmetric P, Q through the known X^{-1}.
+
+    With G = (X - P X^{-T} Q)^{-1} the inverse is
+    [[-X^{-T} Q G, G^T], [G, -X^{-1} P G^T]]; G = X^{-1} when P or Q is
+    zero, and a zero P or Q leaves its diagonal block exactly zero.
+    """
+    h = len(X)
+    x_inv_t = x_inv.T
+    p_zero, q_zero = not P.any(), not Q.any()
+    G = x_inv if p_zero or q_zero else np.linalg.inv(X - P @ x_inv_t @ Q)
+    C = np.zeros((2 * h, 2 * h), dtype=complex)
+    C[:h, h:] = G.T
+    C[h:, :h] = G
+    if not q_zero:
+        C[:h, :h] = -x_inv_t @ Q @ G
+    if not p_zero:
+        C[h:, h:] = -x_inv @ P @ G.T
+    return C
+
+
 def _integrate_form(by_b: Mapping[tuple, Sequence[ExpPolyTerm]], axes: list[int],
-                    keep: list[int]) -> list[ExpPolyTerm]:
-    """Integrate terms sharing one quadratic form A, grouped by linear form b."""
+                    keep: list[int], kernel=None) -> list[ExpPolyTerm]:
+    """Integrate terms sharing one quadratic form A, grouped by linear form b.
+
+    ``kernel`` is (X^{-1}, |det X^{-1}|) for a kernel integral, else None.
+    """
     t0 = next(iter(by_b.values()))[0]
     k, ell = len(keep), len(axes)
     A = t0.A_matrix()
     Ayy = A[np.ix_(axes, axes)]
+    half = ell // 2
+    one_sided = kernel is not None and (not Ayy[:half, :half].any()
+                                        or not Ayy[half:, half:].any())
     # admissibility of the integrated block
     re_eigs = np.linalg.eigvalsh(np.real(Ayy))
-    mu = np.linalg.eigvals(-Ayy)
-    scale = max(1.0, float(np.max(np.abs(mu))))
-    if np.max(re_eigs) > _EIG_TOL * scale or np.min(np.abs(mu)) <= _EIG_TOL * scale:
+    if one_sided:
+        # det(-Ayy) = det(-X)^2 (-1)^{l/2} != 0 exactly; the row-sum norm
+        # bounds the spectral radius that scales the test otherwise
+        scale = max(1.0, float(np.max(np.sum(np.abs(Ayy), axis=1))))
+        degenerate = False
+    else:
+        mu = np.linalg.eigvals(-Ayy)
+        scale = max(1.0, float(np.max(np.abs(mu))))
+        degenerate = np.min(np.abs(mu)) <= _EIG_TOL * scale
+    if np.max(re_eigs) > _EIG_TOL * scale or degenerate:
         raise DivergenceError(
             f"term neither integrable nor Fresnel on integrated block: {t0!r}")
     Auu = A[np.ix_(keep, keep)]
     Auy = A[np.ix_(keep, axes)]
-    C = np.linalg.inv(Ayy)
-    Z = pi ** (ell / 2) / np.prod([_principal_sqrt(m) for m in mu])
+    if kernel is None:
+        C = np.linalg.inv(Ayy)
+        Z = pi ** (ell / 2) / np.prod([_principal_sqrt(m) for m in mu])
+    else:
+        x_inv, kernel_det = kernel
+        C = _kernel_inverse(Ayy[:half, :half], Ayy[:half, half:], Ayy[half:, half:],
+                            x_inv)
+        Z = 1.0 if one_sided else 1.0 / (
+            np.prod([_principal_sqrt(m) for m in mu]) * kernel_det)
     # s(u) = b_y + B u with B = 2 Auy^T
     B = 2.0 * Auy.T
     A_ut = _ut_from_matrix(Auu - Auy @ C @ Auy.T) if k else ()

@@ -5,11 +5,14 @@ The *engine* (:func:`star`, and the multi-block generalization
 
     (f1 * f2)(z) = pref * int dz1 dz2  e^{-(2i/theta) omega(z1,z2)} f1(z+z1) f2(z+z2)
 
-exactly on the ExpPoly x Grassmann class.  Coefficients are even, so the
-product factorizes per term pair into an even and an odd sector.  The even
-sector is the Gaussian/Fresnel closed form of :mod:`superstar.exppoly` on a
-doubled coordinate space; a constant factor is multiplied pointwise, since
-every derivative of it vanishes.  The odd sector is the Clifford algebra of
+exactly on the ExpPoly x Grassmann class, with pref = 1/(pi theta)^{2m} the
+inverse of the bare kernel's integral.  Coefficients are even, so the product
+factorizes per term pair into an even and an odd sector.  The even sector is
+the Gaussian/Fresnel closed form of :mod:`superstar.exppoly` on a doubled
+coordinate space, whose integrated block [[P, X], [X^T, Q]] has the exact
+kernel coupling X = (-i/theta) Omega with X^{-1} = -i theta Omega; a constant
+factor is multiplied pointwise, since every derivative of it vanishes.  The
+odd sector is the Clifford algebra of
 the odd generators (Berezin's Weyl-symbol calculus): on words, bits ambient
 then auxiliary in increasing order,
 
@@ -17,7 +20,8 @@ then auxiliary in increasing order,
 
 with c_a = i theta_a eta_a / 2 over the active odd generators, and 0 when
 U & V holds an inactive or auxiliary bit.  Both sectors are normalized by
-construction, so 1 * 1 = 1 exactly.
+construction, so 1 * 1 = 1 exactly, and neither product drops small terms:
+blocks of the kernel inverse that vanish in exact arithmetic are exact zeros.
 
 The *oracle* (:func:`star_oracle`) instead sums the bidifferential series
 sum_k (1/k!) (sigma i theta/2)^k omega^{mu1 nu1} ... (d..f)(d..g) for
@@ -167,8 +171,13 @@ class _EvenProduct:
 
     Doubled space: [original m coords | copies z1 | copies z2]; spectator
     coordinates (not in any block) are shared by both factors.  The space, its
-    kernel and prefactor are built at the first pair that needs them, and each
-    side embeds a word's coefficient once per call, keyed by the word.
+    kernel and the kernel block's exact inverse X^{-1} (block diagonal,
+    -i theta Omega per block) are built at the first pair that needs them, and
+    each side embeds a word's coefficient once per call, keyed by the word.
+    :func:`ep_integrate_partial` takes X^{-1}, inverts the integrated block
+    through it and divides by the bare kernel's integral, so the result is
+    normalized by construction; with a polynomial or plane-wave factor the
+    normalization is exactly 1 and no eigenvalues are computed.
     """
 
     def __init__(self, m: int, even_blocks: Sequence[EvenBlock]):
@@ -190,7 +199,8 @@ class _EvenProduct:
             M1[c, m + j] = 1.0
             M2[c, m + k_act + j] = 1.0
         A = np.zeros((D, D), dtype=complex)
-        pref = 1.0
+        x_inv = np.zeros((k_act, k_act), dtype=complex)
+        pref = 1.0  # only checked: ep_integrate_partial divides by 1/pref itself
         off = 0
         for coords, th in self.even_blocks:
             k2 = len(coords)
@@ -198,11 +208,12 @@ class _EvenProduct:
             Om = np.zeros((k2, k2))
             Om[:k, k:] = np.eye(k)
             Om[k:, :k] = -np.eye(k)
-            B = (-2j / th) * Om  # z1^T B z2 in the exponent
+            X = (-1j / th) * Om  # z1^T (2X) z2 in the exponent
             i1 = m + off
             i2 = m + k_act + off
-            A[i1:i1 + k2, i2:i2 + k2] += B / 2
-            A[i2:i2 + k2, i1:i1 + k2] += B.T / 2
+            A[i1:i1 + k2, i2:i2 + k2] += X
+            A[i2:i2 + k2, i1:i1 + k2] += X.T
+            x_inv[off:off + k2, off:off + k2] = (-1j * th) * Om
             try:
                 pref *= 1.0 / (pi ** k2 * th ** k2)
             except (OverflowError, ZeroDivisionError):
@@ -212,7 +223,7 @@ class _EvenProduct:
                     f"theta={th!r}: the kernel prefactor 1/(pi theta)^{k2} is not "
                     "a finite nonzero float")
             off += k2
-        return D, (M1, M2), ExpPolyFunction.gaussian(D, A), pref
+        return D, (M1, M2), ExpPolyFunction.gaussian(D, A), x_inv
 
     def _embed(self, side: int, word: int, fn: ExpPolyFunction) -> ExpPolyFunction:
         memo = self._embedded[side]
@@ -225,9 +236,9 @@ class _EvenProduct:
                  wg: int, gg: ExpPolyFunction) -> ExpPolyFunction:
         if not self.act or _is_constant(ff) or _is_constant(gg):
             return ep_mul(ff, gg)
-        D, _, K, pref = self._space
+        D, _, K, x_inv = self._space
         integrand = ep_mul(ep_mul(self._embed(0, wf, ff), self._embed(1, wg, gg)), K)
-        return ep_integrate_partial(integrand, range(self.m, D)).scale(pref)
+        return ep_integrate_partial(integrand, range(self.m, D), kernel_inv=x_inv)
 
 
 def _clifford_pair(u: int, v: int, c: dict[int, complex]) -> tuple[int, complex]:
@@ -285,7 +296,7 @@ def star_general(f: Superfunction, g: Superfunction,
                 continue
             piece = even(wf, ff, wg, gg).scale(c)
             out[word] = out[word] + piece if word in out else piece
-    return Superfunction(f.m, f.n, out, naux).chop()
+    return Superfunction(f.m, f.n, out, naux)
 
 
 def star(ctx: DeformationContext, f: Superfunction, g: Superfunction) -> Superfunction:
@@ -439,7 +450,7 @@ def star_oracle(ctx: DeformationContext, f: Superfunction, g: Superfunction) -> 
             for word, c in odd.items():
                 piece = even.scale(c * theta_odd / unit_norm)
                 out[word] = out[word] + piece if word in out else piece
-    return Superfunction(f.m, f.n, out, naux).chop()
+    return Superfunction(f.m, f.n, out, naux)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superstar import starprod
+from superstar import exppoly, starprod
 from superstar.errors import ClassError, DimensionError, DivergenceError, ParityError
 from superstar.exppoly import ExpPolyFunction, ep_max_dev
 from superstar.sampling import (
@@ -458,47 +458,174 @@ def test_divergent_star_raises():
 
 
 def _count_reductions(ctx, f, g):
-    """Star product f * g, counting np.linalg.eigvals calls and recording the
-    exponent keys and quadratic forms of each doubled-space integrand."""
-    calls, keys, forms = [], [], []
-    eigvals, integrate = np.linalg.eigvals, starprod.ep_integrate_partial
+    """Star product f * g, counting np.linalg.eigvals calls, recording the
+    sizes of np.linalg.inv calls and the exponent keys and quadratic forms of
+    each doubled-space integrand."""
+    calls, inv_sizes, keys, forms = [], [], [], []
+    eigvals, inv = np.linalg.eigvals, np.linalg.inv
+    integrate = starprod.ep_integrate_partial
 
     def counting_eigvals(a):
         calls.append(a)
         return eigvals(a)
 
-    def recording_integrate(fn, axes):
+    def counting_inv(a):
+        inv_sizes.append(len(a))
+        return inv(a)
+
+    def recording_integrate(fn, axes, **kwargs):
         keys.append(len({(t.A_ut, t.b) for t in fn.terms}))
         forms.append(len({t.A_ut for t in fn.terms}))
-        return integrate(fn, axes)
+        return integrate(fn, axes, **kwargs)
 
-    np.linalg.eigvals = counting_eigvals
+    np.linalg.eigvals, np.linalg.inv = counting_eigvals, counting_inv
     starprod.ep_integrate_partial = recording_integrate
     try:
         star(ctx, f, g)
     finally:
-        np.linalg.eigvals = eigvals
+        np.linalg.eigvals, np.linalg.inv = eigvals, inv
         starprod.ep_integrate_partial = integrate
-    return len(calls), keys, forms
+    return len(calls), inv_sizes, keys, forms
 
 
 def test_one_eigendecomposition_per_exponent_key():
+    # at most one per quadratic form: one per Gaussian x Gaussian form, none
+    # for a one-sided form (a polynomial or plane-wave factor), whose kernel
+    # normalization is exactly 1; no inverse is ever of the whole 4x4 block
     ctx = DeformationContext(0.8, 1, 0)
     x1 = ExpPolyFunction.coordinate(2, 0)
     # two exponent keys with different quadratic forms, times a polynomial
     f = (ExpPolyFunction.gaussian(2, -np.eye(2)) * x1 * x1
          + ExpPolyFunction.gaussian(2, -2.0 * np.eye(2), [0.5, 0.0]) * x1)
     g = x1 + ExpPolyFunction.coordinate(2, 1) * x1
-    n_eig, keys, forms = _count_reductions(
+    n_eig, inv_sizes, keys, forms = _count_reductions(
         ctx, Superfunction.from_even(f, 0), Superfunction.from_even(g, 0))
     assert keys == [2] and forms == [2]
-    assert n_eig == 2
-    # two keys sharing one quadratic form share its eigen data
+    assert n_eig == 0 and inv_sizes == []
+    # times a Gaussian: one eigen decomposition and one 2x2 inverse per form
+    gauss = ExpPolyFunction.gaussian(2, [[-1.0, 0.2], [0.2, -0.5]], [0.0, 1j])
+    n_eig, inv_sizes, keys, forms = _count_reductions(
+        ctx, Superfunction.from_even(f, 0), Superfunction.from_even(gauss, 0))
+    assert keys == [2] and forms == [2]
+    assert n_eig == 2 and inv_sizes == [2, 2]
+    # two keys sharing one quadratic form, on the other side
     waves = ExpPolyFunction.plane_wave(2, [1.0, 0.3]) + ExpPolyFunction.plane_wave(2, [-0.4, 2.0])
-    n_eig, keys, forms = _count_reductions(
+    n_eig, inv_sizes, keys, forms = _count_reductions(
         ctx, Superfunction.from_even(waves, 0), Superfunction.from_even(x1 * x1, 0))
     assert keys == [2] and forms == [1]
-    assert n_eig == 1
+    assert n_eig == 0 and inv_sizes == []
+
+
+def _kernel_form(rng, m: int, theta: float, kind: str):
+    """(P, X, Q, X^{-1}) of a doubled-space block with P = 0 and Q random:
+    integrable (Re Q negative definite) or Fresnel (Q purely imaginary)."""
+    Om = DeformationContext(theta, m, 0).omega_even()
+    d = 2 * m
+    S = rng.normal(size=(d, d))
+    S = S + S.T
+    if kind == "integrable":
+        L = rng.normal(size=(d, d))
+        Q = -(L @ L.T + 0.3 * np.eye(d)) + 0.5j * S
+    else:
+        Q = 1j * S
+    return np.zeros((d, d), dtype=complex), (-1j / theta) * Om, Q, (-1j * theta) * Om
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("theta", [0.7, -1.3])
+@pytest.mark.parametrize("kind", ["integrable", "fresnel"])
+def test_one_sided_kernel_closed_form(m, theta, kind):
+    # against the dense inverse and the eigenvalue normalization Z * pref,
+    # with the Gaussian on either side
+    rng = np.random.default_rng([53, m, int(theta > 0), kind == "fresnel"])
+    d = 2 * m
+    for _ in range(4):
+        Z0, X, Q, x_inv = _kernel_form(rng, m, theta, kind)
+        for P, Qs in ((Z0, Q), (Q, Z0)):
+            Ayy = np.block([[P, X], [X.T, Qs]])
+            C = exppoly._kernel_inverse(P, X, Qs, x_inv)
+            dense = np.linalg.inv(Ayy)
+            assert np.max(np.abs(C - dense)) <= 1e-12 * np.max(np.abs(dense))
+            zero = (slice(d, None),) * 2 if not P.any() else (slice(0, d),) * 2
+            assert not C[zero].any()
+            mu = np.linalg.eigvals(-Ayy)
+            z_pref = 1.0 / (np.prod(np.sqrt(mu)) * theta ** (2 * m))
+            assert abs(z_pref - 1.0) <= 1e-12
+
+
+def test_gaussian_kernel_path_matches_generic_integration():
+    # both factors Gaussian: the closed-form inverse and the eigenvalue
+    # normalization agree with the generic reduction scaled by 1/(pi theta)^2m
+    rng = np.random.default_rng(59)
+    for ctx in (DeformationContext(0.7, 1, 0), DeformationContext(-1.3, 2, 0)):
+        d = 2 * ctx.m
+        even = starprod._EvenProduct(d, ctx.even_blocks())
+        D, _, K, x_inv = even._space
+        for _ in range(3):
+            f = random_integrable_factor(rng, ctx).terms[0]
+            g = random_integrable_factor(rng, ctx).terms[0]
+            integrand = (even._embed(0, 0, f) * even._embed(1, 0, g)) * K
+            got = exppoly.ep_integrate_partial(integrand, range(d, D), kernel_inv=x_inv)
+            want = exppoly.ep_integrate_partial(integrand, range(d, D)).scale(
+                1.0 / (np.pi * ctx.theta) ** d)
+            top = max(abs(t.c) for t in want.terms)
+            assert ep_max_dev(got, want) <= 1e-12 * top
+
+
+def test_mirror_products_with_a_coordinate_have_equal_term_counts():
+    # F * x_mu and x_mu * F differ only in signs of the derivative terms, so
+    # no rounding noise may give one of them extra terms
+    rng = np.random.default_rng(61)
+    ctx = DeformationContext(1.3, 2, 0)
+    for _ in range(4):
+        F = random_integrable_factor(rng, ctx)
+        for mu in range(4):
+            x = Superfunction.coordinate(4, 0, mu)
+            left, right = star(ctx, F, x), star(ctx, x, F)
+            assert len(left.terms[0].terms) == len(right.terms[0].terms)
+
+
+@pytest.mark.parametrize("theta", [1.0, -0.8, 1e-8])
+def test_commuting_squares_multiply_exactly(theta):
+    # x1 and x2 commute at m = 2: x1^2 * x2^2 is the pointwise product, exactly
+    ctx = DeformationContext(theta, 2, 0)
+    x1sq = Superfunction.from_even(ExpPolyFunction.monomial(4, (2, 0, 0, 0)), 0)
+    x2sq = Superfunction.from_even(ExpPolyFunction.monomial(4, (0, 2, 0, 0)), 0)
+    (term,) = star(ctx, x1sq, x2sq).body().terms
+    assert term.alpha == (2, 2, 0, 0) and term.c == 1 + 0j
+
+
+def test_small_theta_keeps_second_order_constant():
+    # x1^2 * x2^2 = x1^2 x2^2 - 2i theta x1 x2 - theta^2 / 2 at m = 1
+    theta = 1e-8
+    ctx = DeformationContext(theta, 1, 0)
+    x1sq = Superfunction.from_even(ExpPolyFunction.monomial(2, (2, 0)), 0)
+    x2sq = Superfunction.from_even(ExpPolyFunction.monomial(2, (0, 2)), 0)
+    coeffs = {t.alpha: t.c for t in star(ctx, x1sq, x2sq).body().terms}
+    want = {(2, 2): 1.0, (1, 1): -2j * theta, (0, 0): -theta ** 2 / 2}
+    assert coeffs.keys() == want.keys()
+    for alpha, c in want.items():
+        assert abs(coeffs[alpha] - c) <= 1e-12 * abs(c)
+
+
+def test_associativity_catches_dropped_schur_block(monkeypatch):
+    # mutant: the kernel inverse without its -X^{-T} Q G block
+    closed_form = exppoly._kernel_inverse
+
+    def without_schur_block(P, X, Q, x_inv):
+        C = closed_form(P, X, Q, x_inv)
+        C[:len(X), :len(X)] = 0
+        return C
+
+    monkeypatch.setattr(exppoly, "_kernel_inverse", without_schur_block)
+    rng = np.random.default_rng(67)
+    worst = 0.0
+    for ctx in _star_pool()[:3]:
+        kinds = ("gaussian", "poly")
+        f, g, h = (random_star_factor(rng, ctx, kinds=kinds) for _ in range(3))
+        worst = max(worst, sf_max_dev(star(ctx, star(ctx, f, g), h),
+                                      star(ctx, f, star(ctx, g, h))))
+    assert worst > 1e-10
 
 
 def test_context_validation():
