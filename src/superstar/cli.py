@@ -37,6 +37,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from .errors import DimensionError
 from .expr import ExpressionError, _fmt_real, evaluate, parse, print_expression
 from .gwaction import verify_gw
@@ -99,7 +101,8 @@ def _context_from_args(args: argparse.Namespace) -> DeformationContext:
 
 
 def _emit(report: dict, json_out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    # a non-finite float would print as Infinity or NaN, which is not JSON
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if json_out:
         with open(json_out, "w", encoding="utf-8") as fh:
@@ -114,7 +117,10 @@ def _emit(report: dict, json_out: str | None) -> None:
 def _cmd_star(args: argparse.Namespace) -> int:
     ctx = _context_from_args(args)
     ast = parse(args.expression)
-    fun = evaluate(ast, ctx)
+    # evaluate reports a subexpression that leaves the float range itself;
+    # numpy's overflow warnings would only repeat it on stderr
+    with np.errstate(all="ignore"):
+        fun = evaluate(ast, ctx)
     words = []
     for w in sorted(fun.terms):
         indices = [k + 1 for k in range(fun.n) if w >> k & 1]

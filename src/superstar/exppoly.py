@@ -12,13 +12,18 @@ symmetric matrix, so x^T A x carries the full cross coefficient (the (i,j) and
 (j,i) entries both contribute).  ``b`` is the linear form, ``alpha`` the
 monomial exponent; (A, b) is the term's exponent key.
 
-Terms of one function share few exponent keys, so the operations that cost
-linear algebra work per key rather than per term: :func:`ep_integrate_partial`
-computes the eigenvalues, inverse and Schur complement of the integrated block
-once per quadratic form A and the linear data once per key, and
-:meth:`ExpPolyFunction.affine` substitutes each key and each monomial exponent
-once.  A function holds a tuple of :class:`ExpPolyTerm` with distinct keys in
-first-seen order; equality ignores that order, and only the JSON form sorts.
+Terms of one function share few exponent keys, so a function is stored by
+key: ``keys`` maps (A, b) to the polynomial {alpha: c} that multiplies
+exp(x^T A x + b.x), nonzero and in first-seen order.  Adding a term is a dict
+update, and every operation works per key rather than per term: ``ep_mul``
+adds A and b once per key pair, ``eval`` takes one exponential per key,
+:func:`ep_integrate_partial` computes the eigenvalues, inverse and Schur
+complement of the integrated block once per quadratic form A and the linear
+data once per key, and :meth:`ExpPolyFunction.affine` substitutes each key
+and each monomial exponent once.  ``terms`` is a read-only tuple of
+:class:`ExpPolyTerm` built once per function and cached, for serialization
+and for callers that want terms.  Equality ignores order, and only the JSON
+form sorts.
 
 A kernel integral on a doubled space, where the integrated block is
 [[P, X], [X^T, Q]] with a known oscillatory coupling X, passes X^{-1} to
@@ -45,6 +50,7 @@ __all__ = [
     "ExpPolyTerm",
     "ep_equal",
     "ep_from_distinct",
+    "ep_from_keys",
     "ep_integrate",
     "ep_integrate_partial",
     "ep_mul",
@@ -97,42 +103,75 @@ class ExpPolyTerm:
     @property
     def integrable(self) -> bool:
         """Absolutely integrable: Re(A) negative definite."""
-        if self.d == 0:
-            return True
-        re = np.real(self.A_matrix())
-        return bool(np.max(np.linalg.eigvalsh(re)) < -_EIG_TOL)
+        return _negative_definite(self.A_ut, self.d)
 
 
-def _merge_terms(d: int, terms: Iterable[ExpPolyTerm]) -> tuple[ExpPolyTerm, ...]:
-    """Sum coefficients per key in first-seen order; drop exact zeros."""
-    acc: dict[tuple, complex] = {}
-    for t in terms:
-        if len(t.alpha) != d:
-            raise ValueError(f"term dimension {len(t.alpha)} != {d}")
-        acc[t.key] = acc.get(t.key, 0j) + complex(t.c)
-    return tuple(ExpPolyTerm(c, *key) for key, c in acc.items() if c != 0)
+def _negative_definite(A_ut: Sequence[complex], d: int) -> bool:
+    if d == 0:
+        return True
+    re = np.real(_matrix_from_ut(A_ut, d))
+    return bool(np.max(np.linalg.eigvalsh(re)) < -_EIG_TOL)
+
+
+def _nonzero(keys: dict) -> dict:
+    """The keys map without exact-zero coefficients or keys left empty."""
+    for poly in keys.values():
+        if not poly or 0 in poly.values():
+            break
+    else:
+        return keys
+    out = {}
+    for key, poly in keys.items():
+        if 0 in poly.values():
+            poly = {alpha: c for alpha, c in poly.items() if c != 0}
+        if poly:
+            out[key] = poly
+    return out
 
 
 class ExpPolyFunction:
-    """Finite sum of :class:`ExpPolyTerm` on R^d.
+    """Finite sum of :class:`ExpPolyTerm` on R^d, stored by exponent key.
 
-    ``terms`` holds one nonzero term per key (alpha, A, b), in the order the
-    keys were first seen; equality compares the {key: coefficient} maps.
+    ``keys`` maps each exponent key (A_ut, b) to its polynomial
+    {alpha: coefficient}; every coefficient is nonzero, and keys and
+    exponents keep the order in which they were first seen.  Equality
+    compares the maps, so that order does not matter.  A stored function is
+    never changed in place; operations build new maps.
+
+    ``terms`` is a read-only tuple of :class:`ExpPolyTerm`, one per
+    (key, alpha), built at first use and cached, for serialization and for
+    code that wants terms.  The operations read ``keys``.
     """
 
-    __slots__ = ("d", "terms")
+    __slots__ = ("d", "keys", "_terms")
 
     def __init__(self, d: int, terms: Iterable[ExpPolyTerm] = ()):
+        """Sum ``terms`` per key in first-seen order; drop exact zeros."""
         if d < 0:
             raise ValueError("dimension must be >= 0")
+        keys: dict[tuple, dict[tuple, complex]] = {}
+        for t in terms:
+            if len(t.alpha) != d:
+                raise ValueError(f"term dimension {len(t.alpha)} != {d}")
+            poly = keys.setdefault((t.A_ut, t.b), {})
+            poly[t.alpha] = poly.get(t.alpha, 0j) + complex(t.c)
         self.d = d
-        self.terms = _merge_terms(d, terms)
+        self.keys = _nonzero(keys)
+        self._terms = None
+
+    @property
+    def terms(self) -> tuple[ExpPolyTerm, ...]:
+        if self._terms is None:
+            self._terms = tuple(ExpPolyTerm(c, alpha, A_ut, b)
+                                for (A_ut, b), poly in self.keys.items()
+                                for alpha, c in poly.items())
+        return self._terms
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, d: int) -> "ExpPolyFunction":
-        return cls(d, ())
+        return ep_from_keys(d, {})
 
     @classmethod
     def const(cls, d: int, c) -> "ExpPolyFunction":
@@ -149,7 +188,7 @@ class ExpPolyFunction:
             raise ValueError("bad exponent")
         zero_A = (0j,) * (d * (d + 1) // 2)
         zero_b = (0j,) * d
-        return cls(d, (ExpPolyTerm(complex(c), alpha, zero_A, zero_b),))
+        return ep_from_keys(d, {(zero_A, zero_b): {alpha: 0j + complex(c)}})
 
     @classmethod
     def coordinate(cls, d: int, axis: int) -> "ExpPolyFunction":
@@ -162,15 +201,15 @@ class ExpPolyFunction:
         """c * exp(x^T A x + b.x); A any square array-like (symmetrized)."""
         A = np.asarray(A, dtype=complex).reshape(d, d)
         bvec = np.zeros(d, dtype=complex) if b is None else np.asarray(b, dtype=complex)
-        return cls(d, (ExpPolyTerm(complex(c), (0,) * d, _ut_from_matrix(A),
-                                   tuple(complex(x) for x in bvec)),))
+        key = (_ut_from_matrix(A), tuple(complex(x) for x in bvec))
+        return ep_from_keys(d, {key: {(0,) * d: 0j + complex(c)}})
 
     @classmethod
     def plane_wave(cls, d: int, k: Sequence[float], c=1.0) -> "ExpPolyFunction":
         """c * exp(i k.x) for a real wave vector k."""
         b = tuple(1j * complex(ki) for ki in k)
         zero_A = (0j,) * (d * (d + 1) // 2)
-        return cls(d, (ExpPolyTerm(complex(c), (0,) * d, zero_A, b),))
+        return ep_from_keys(d, {(zero_A, b): {(0,) * d: 0j + complex(c)}})
 
     # -- ring structure ------------------------------------------------------
 
@@ -178,7 +217,17 @@ class ExpPolyFunction:
         if isinstance(other, ExpPolyFunction):
             if other.d != self.d:
                 raise ValueError(f"dimension mismatch: {self.d} vs {other.d}")
-            return ExpPolyFunction(self.d, self.terms + other.terms)
+            keys = dict(self.keys)
+            for key, poly in other.keys.items():
+                mine = keys.get(key)
+                if mine is None:
+                    keys[key] = poly
+                    continue
+                merged = dict(mine)
+                for alpha, c in poly.items():
+                    merged[alpha] = merged.get(alpha, 0j) + c
+                keys[key] = merged
+            return ep_from_keys(self.d, keys)
         return NotImplemented
 
     def __sub__(self, other):
@@ -189,8 +238,9 @@ class ExpPolyFunction:
 
     def scale(self, c) -> "ExpPolyFunction":
         c = complex(c)
-        return ep_from_distinct(
-            self.d, (ExpPolyTerm(c * t.c, t.alpha, t.A_ut, t.b) for t in self.terms))
+        return ep_from_keys(self.d, {
+            key: {alpha: c * v for alpha, v in poly.items()}
+            for key, poly in self.keys.items()})
 
     def __mul__(self, other):
         if isinstance(other, ExpPolyFunction):
@@ -202,49 +252,54 @@ class ExpPolyFunction:
 
     def conj(self) -> "ExpPolyFunction":
         """Pointwise complex conjugate (the argument x is real)."""
-        return ep_from_distinct(
-            self.d,
-            (ExpPolyTerm(t.c.conjugate(), t.alpha,
-                         tuple(z.conjugate() for z in t.A_ut),
-                         tuple(z.conjugate() for z in t.b))
-             for t in self.terms))
+        return ep_from_keys(self.d, {
+            (tuple(z.conjugate() for z in A_ut), tuple(z.conjugate() for z in b)):
+                {alpha: c.conjugate() for alpha, c in poly.items()}
+            for (A_ut, b), poly in self.keys.items()})
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keys
 
     @property
     def integrable(self) -> bool:
-        return all(t.integrable for t in self.terms)
+        return all(_negative_definite(A_ut, self.d) for A_ut, _ in self.keys)
 
     # -- calculus ------------------------------------------------------
 
     def derive(self, mu: int) -> "ExpPolyFunction":
         if not 0 <= mu < self.d:
             raise ValueError(f"axis {mu} out of range for d={self.d}")
-        out = []
-        for t in self.terms:
-            A = t.A_matrix()
-            if t.alpha[mu] > 0:
-                alpha = list(t.alpha)
-                alpha[mu] -= 1
-                out.append(ExpPolyTerm(t.c * t.alpha[mu], tuple(alpha), t.A_ut, t.b))
-            # chain rule: d/dx_mu exp(x^T A x + b.x) = (2(Ax)_mu + b_mu) * exp(..)
-            if t.b[mu] != 0:
-                out.append(ExpPolyTerm(t.c * t.b[mu], t.alpha, t.A_ut, t.b))
-            for j in range(self.d):
-                aij = A[mu, j]
-                if aij != 0:
-                    alpha = list(t.alpha)
-                    alpha[j] += 1
-                    out.append(ExpPolyTerm(2 * t.c * aij, tuple(alpha), t.A_ut, t.b))
-        return ExpPolyFunction(self.d, out)
+        out: dict[tuple, dict[tuple, complex]] = {}
+        for key, poly in self.keys.items():
+            A_ut, b = key
+            row = _matrix_from_ut(A_ut, self.d)[mu].tolist()
+            acc = out[key] = {}
+            for alpha, c in poly.items():
+                if alpha[mu] > 0:
+                    lower = list(alpha)
+                    lower[mu] -= 1
+                    lower = tuple(lower)
+                    acc[lower] = acc.get(lower, 0j) + c * alpha[mu]
+                # chain rule: d/dx_mu exp(x^T A x + b.x) = (2(Ax)_mu + b_mu) * exp(..)
+                if b[mu] != 0:
+                    acc[alpha] = acc.get(alpha, 0j) + c * b[mu]
+                for j in range(self.d):
+                    aij = row[j]
+                    if aij != 0:
+                        higher = list(alpha)
+                        higher[j] += 1
+                        higher = tuple(higher)
+                        acc[higher] = acc.get(higher, 0j) + 2 * c * aij
+        return ep_from_keys(self.d, out)
 
     def affine(self, M, v, new_d: int | None = None) -> "ExpPolyFunction":
         """Exact substitution x -> M y + v, returning a function of y.
 
         M has shape (self.d, new_d) and may be rectangular (embeddings,
-        evaluations); v has length self.d.
+        evaluations); v has length self.d.  The exponent data is substituted
+        once per key (A, b), the polynomial part
+        prod_i (M[i,:].y + v_i)^alpha_i once per exponent alpha.
         """
         v = np.asarray(v, dtype=complex).reshape(self.d)
         if new_d is None:
@@ -252,28 +307,24 @@ class ExpPolyFunction:
             new_d = M.shape[1]
         else:
             M = np.asarray(M, dtype=complex).reshape(self.d, new_d)
-        # exponent data once per key (A, b), the polynomial part
-        # prod_i (M[i,:].y + v_i)^alpha_i once per exponent alpha
-        exponents: dict[tuple, tuple] = {}
         expansions: dict[tuple, dict[tuple, complex]] = {}
-        out = []
-        for t in self.terms:
-            if (t.A_ut, t.b) not in exponents:
-                A = t.A_matrix()
-                b = np.asarray(t.b)
-                c_exp = complex(v @ A @ v + b @ v)
-                exponents[t.A_ut, t.b] = (_ut_from_matrix(M.T @ A @ M),
-                                          tuple(complex(x) for x in M.T @ (2 * A @ v + b)),
-                                          np.exp(c_exp))
-            A_ut, b_t, e = exponents[t.A_ut, t.b]
-            if t.alpha not in expansions:
-                rows = [(complex(v[i]), M[i, :]) for i in range(self.d) if t.alpha[i] > 0]
-                powers = [t.alpha[i] for i in range(self.d) if t.alpha[i] > 0]
-                expansions[t.alpha] = _affine_monomial_expand(rows, powers, new_d)
-            base_c = t.c * e
-            for expo, coeff in expansions[t.alpha].items():
-                out.append(ExpPolyTerm(base_c * coeff, expo, A_ut, b_t))
-        return ExpPolyFunction(new_d, out)
+        out: dict[tuple, dict[tuple, complex]] = {}
+        for (A_ut, b_ut), poly in self.keys.items():
+            A = _matrix_from_ut(A_ut, self.d)
+            b = np.asarray(b_ut)
+            e = complex(np.exp(complex(v @ A @ v + b @ v)))
+            key = (_ut_from_matrix(M.T @ A @ M),
+                   tuple(complex(x) for x in M.T @ (2 * A @ v + b)))
+            acc = out.setdefault(key, {})
+            for alpha, c in poly.items():
+                if alpha not in expansions:
+                    rows = [(complex(v[i]), M[i, :]) for i in range(self.d) if alpha[i] > 0]
+                    powers = [alpha[i] for i in range(self.d) if alpha[i] > 0]
+                    expansions[alpha] = _affine_monomial_expand(rows, powers, new_d)
+                base_c = c * e
+                for expo, coeff in expansions[alpha].items():
+                    acc[expo] = acc.get(expo, 0j) + base_c * coeff
+        return ep_from_keys(new_d, out)
 
     def translate(self, a) -> "ExpPolyFunction":
         """f(x) -> f(x + a)."""
@@ -287,24 +338,26 @@ class ExpPolyFunction:
     def eval(self, points):
         """Evaluate at an (N, d) array of real points -> (N,) complex array.
 
-        A single point (1-d array of length d) returns a complex scalar.
+        A single point (1-d array of length d) returns a complex scalar.  The
+        exponential is evaluated once per key.
         """
         pts = np.asarray(points, dtype=float)
         if self.d == 0:
-            total = complex(sum((t.c for t in self.terms), 0j))
+            total = _coefficient_sum(self)
             return total if pts.ndim <= 1 else np.full(pts.shape[0], total, dtype=complex)
         single = pts.ndim == 1
         if single:
             pts = pts.reshape(1, self.d)
         vals = np.zeros(pts.shape[0], dtype=complex)
-        for t in self.terms:
-            A = t.A_matrix()
-            quad = np.einsum("ni,ij,nj->n", pts, A, pts) + pts @ np.asarray(t.b)
-            mono = np.ones(pts.shape[0], dtype=complex)
-            for i, a in enumerate(t.alpha):
-                if a:
-                    mono = mono * pts[:, i] ** a
-            vals += t.c * mono * np.exp(quad)
+        for (A_ut, b), poly in self.keys.items():
+            A = _matrix_from_ut(A_ut, self.d)
+            e = np.exp(np.einsum("ni,ij,nj->n", pts, A, pts) + pts @ np.asarray(b))
+            for alpha, c in poly.items():
+                mono = np.ones(pts.shape[0], dtype=complex)
+                for i, a in enumerate(alpha):
+                    if a:
+                        mono = mono * pts[:, i] ** a
+                vals += c * mono * e
         return complex(vals[0]) if single else vals
 
     def to_json_dict(self) -> dict:
@@ -344,13 +397,17 @@ class ExpPolyFunction:
     def __eq__(self, other):
         if not isinstance(other, ExpPolyFunction):
             return NotImplemented
-        return (self.d == other.d
-                and {t.key: t.c for t in self.terms} == {t.key: t.c for t in other.terms})
+        return self.d == other.d and self.keys == other.keys
 
     def __repr__(self):
-        if not self.terms:
+        if not self.keys:
             return f"ExpPolyFunction(d={self.d}, 0)"
-        return f"ExpPolyFunction(d={self.d}, {len(self.terms)} terms)"
+        n = sum(len(poly) for poly in self.keys.values())
+        return f"ExpPolyFunction(d={self.d}, {n} terms)"
+
+
+def _coefficient_sum(f: ExpPolyFunction) -> complex:
+    return complex(sum((c for poly in f.keys.values() for c in poly.values()), 0j))
 
 
 # ---------------------------------------------------------------------------
@@ -358,26 +415,45 @@ class ExpPolyFunction:
 
 
 def ep_mul(f: ExpPolyFunction, g: ExpPolyFunction) -> ExpPolyFunction:
-    """Exact pointwise product: exponents add, quadratic/linear data add."""
+    """Exact pointwise product: A and b add once per key pair, exponents per term pair."""
     if f.d != g.d:
         raise ValueError(f"dimension mismatch: {f.d} vs {g.d}")
-    out = []
-    for s in f.terms:
-        for t in g.terms:
-            out.append(ExpPolyTerm(s.c * t.c, tuple(map(add, s.alpha, t.alpha)),
-                                   tuple(map(add, s.A_ut, t.A_ut)),
-                                   tuple(map(add, s.b, t.b))))
-    return ExpPolyFunction(f.d, out)
+    out: dict[tuple, dict[tuple, complex]] = {}
+    for (A1, b1), p1 in f.keys.items():
+        for (A2, b2), p2 in g.keys.items():
+            acc = out.setdefault((tuple(map(add, A1, A2)), tuple(map(add, b1, b2))), {})
+            for a1, c1 in p1.items():
+                for a2, c2 in p2.items():
+                    alpha = tuple(map(add, a1, a2))
+                    acc[alpha] = acc.get(alpha, 0j) + c1 * c2
+    return ep_from_keys(f.d, out)
 
 
-def ep_from_distinct(d: int, terms: Iterable[ExpPolyTerm]) -> ExpPolyFunction:
-    """A function from terms whose keys are already distinct, without merging.
+def ep_from_keys(d: int, keys: dict) -> ExpPolyFunction:
+    """A function that takes over a {(A_ut, b): {alpha: c}} map.
 
-    Only exact zeros are dropped, so scaling by 0 or an underflow leaves none.
+    The caller hands the map over and does not change it afterwards.  Exact
+    zeros are dropped, so scaling by 0 or an underflow leaves none.
     """
     out = ExpPolyFunction.__new__(ExpPolyFunction)
     out.d = d
-    out.terms = tuple(t for t in terms if t.c != 0)
+    out.keys = _nonzero(keys)
+    out._terms = None
+    return out
+
+
+def ep_from_distinct(d: int, terms: Iterable[ExpPolyTerm]) -> ExpPolyFunction:
+    """A function from terms whose (key, alpha) are already distinct.
+
+    Nothing is merged; exact zeros are dropped, and the kept terms become the
+    cached ``terms`` view, so they keep their identity.
+    """
+    kept = tuple(t for t in terms if t.c != 0)
+    keys: dict[tuple, dict[tuple, complex]] = {}
+    for t in kept:
+        keys.setdefault((t.A_ut, t.b), {})[t.alpha] = t.c
+    out = ep_from_keys(d, keys)
+    out._terms = kept
     return out
 
 
@@ -505,13 +581,13 @@ def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int], *,
                              f"split {len(axes)} integrated axes")
         kernel = (kernel_inv, abs(np.linalg.det(kernel_inv)))
     keep = [i for i in range(f.d) if i not in axes]
-    groups: dict[tuple, dict[tuple, list[ExpPolyTerm]]] = {}
-    for t in f.terms:
-        groups.setdefault(t.A_ut, {}).setdefault(t.b, []).append(t)
-    out_terms: list[ExpPolyTerm] = []
-    for by_b in groups.values():
-        out_terms.extend(_integrate_form(by_b, axes, keep, kernel))
-    return ExpPolyFunction(len(keep), out_terms)
+    groups: dict[tuple, dict[tuple, dict[tuple, complex]]] = {}
+    for (A_ut, b), poly in f.keys.items():
+        groups.setdefault(A_ut, {})[b] = poly
+    out: dict[tuple, dict[tuple, complex]] = {}
+    for A_ut, by_b in groups.items():
+        _integrate_form(A_ut, by_b, axes, keep, kernel, out)
+    return ep_from_keys(len(keep), out)
 
 
 def _kernel_inverse(P: np.ndarray, X: np.ndarray, Q: np.ndarray,
@@ -536,15 +612,16 @@ def _kernel_inverse(P: np.ndarray, X: np.ndarray, Q: np.ndarray,
     return C
 
 
-def _integrate_form(by_b: Mapping[tuple, Sequence[ExpPolyTerm]], axes: list[int],
-                    keep: list[int], kernel=None) -> list[ExpPolyTerm]:
-    """Integrate terms sharing one quadratic form A, grouped by linear form b.
+def _integrate_form(A_ut: tuple, by_b: Mapping[tuple, Mapping[tuple, complex]],
+                    axes: list[int], keep: list[int], kernel, out: dict) -> None:
+    """Integrate the keys sharing one quadratic form A, given as {b: {alpha: c}}.
 
-    ``kernel`` is (X^{-1}, |det X^{-1}|) for a kernel integral, else None.
+    Each key's result is added into ``out``, a {(A_ut, b): {alpha: c}} map of
+    the kept variables.  ``kernel`` is (X^{-1}, |det X^{-1}|) for a kernel
+    integral, else None.
     """
-    t0 = next(iter(by_b.values()))[0]
     k, ell = len(keep), len(axes)
-    A = t0.A_matrix()
+    A = _matrix_from_ut(A_ut, k + ell)
     Ayy = A[np.ix_(axes, axes)]
     half = ell // 2
     one_sided = kernel is not None and (not Ayy[:half, :half].any()
@@ -562,7 +639,7 @@ def _integrate_form(by_b: Mapping[tuple, Sequence[ExpPolyTerm]], axes: list[int]
         degenerate = np.min(np.abs(mu)) <= _EIG_TOL * scale
     if np.max(re_eigs) > _EIG_TOL * scale or degenerate:
         raise DivergenceError(
-            f"term neither integrable nor Fresnel on integrated block: {t0!r}")
+            f"exponent neither integrable nor Fresnel on integrated block: A_ut={A_ut!r}")
     Auu = A[np.ix_(keep, keep)]
     Auy = A[np.ix_(keep, axes)]
     if kernel is None:
@@ -576,42 +653,45 @@ def _integrate_form(by_b: Mapping[tuple, Sequence[ExpPolyTerm]], axes: list[int]
             np.prod([_principal_sqrt(m) for m in mu]) * kernel_det)
     # s(u) = b_y + B u with B = 2 Auy^T
     B = 2.0 * Auy.T
-    A_ut = _ut_from_matrix(Auu - Auy @ C @ Auy.T) if k else ()
+    Z = complex(Z)
+    A_u = _ut_from_matrix(Auu - Auy @ C @ Auy.T) if k else ()
     moments: dict[tuple, dict[tuple, complex]] = {}
-    out: list[ExpPolyTerm] = []
-    for b_key, terms in by_b.items():
+    for b_key, poly in by_b.items():
         b = np.asarray(b_key)
         b_u = b[keep]
         b_y = b[axes]
         b_t = tuple(complex(x) for x in b_u - Auy @ (C @ b_y))
-        decay = np.exp(-0.25 * complex(b_y @ C @ b_y))
+        decay = complex(np.exp(-0.25 * complex(b_y @ C @ b_y)))
         expansions: dict[tuple, dict[tuple, complex]] = {}
         acc: dict[tuple, complex] = {}
-        for t in terms:
-            beta = tuple(t.alpha[a] for a in axes)
+        for alpha, c in poly.items():
+            beta = tuple(alpha[a] for a in axes)
             if beta not in moments:
                 moments[beta] = _moment_poly(C, beta)
-            const = t.c * Z * decay
-            alpha_u = tuple(t.alpha[i] for i in keep)
+            const = c * Z * decay
+            alpha_u = tuple(alpha[i] for i in keep)
             for gamma, h in moments[beta].items():
                 if gamma not in expansions:
                     rows = [(complex(b_y[i]), B[i, :]) for i in range(ell) if gamma[i] > 0]
                     powers = [gamma[i] for i in range(ell) if gamma[i] > 0]
                     expansions[gamma] = _affine_monomial_expand(rows, powers, k)
-                ch = const * h
+                ch = complex(const * h)
                 for expo, coeff in expansions[gamma].items():
                     total = tuple(map(add, alpha_u, expo))
                     acc[total] = acc.get(total, 0j) + ch * coeff
-        out.extend(ExpPolyTerm(c, alpha, A_ut, b_t) for alpha, c in acc.items())
-    return out
+        have = out.get((A_u, b_t))
+        if have is None:
+            out[A_u, b_t] = acc
+        else:
+            for alpha, c in acc.items():
+                have[alpha] = have.get(alpha, 0j) + c
 
 
 def ep_integrate(f: ExpPolyFunction) -> complex:
     """Exact integral over all of R^d."""
     if f.d == 0:
-        return complex(sum((t.c for t in f.terms), 0j))
-    reduced = ep_integrate_partial(f, range(f.d))
-    return complex(sum((t.c for t in reduced.terms), 0j))
+        return _coefficient_sum(f)
+    return _coefficient_sum(ep_integrate_partial(f, range(f.d)))
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +718,6 @@ def ep_max_dev(f: ExpPolyFunction, g: ExpPolyFunction) -> float:
     if f.d != g.d:
         raise ValueError("dimension mismatch")
     if f.d == 0:
-        return abs(complex(sum(t.c for t in f.terms)) - complex(sum(t.c for t in g.terms)))
+        return abs(_coefficient_sum(f) - _coefficient_sum(g))
     grid = sample_grid(f.d)
     return float(np.max(np.abs(f.eval(grid) - g.eval(grid))))

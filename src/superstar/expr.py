@@ -130,10 +130,11 @@ def _tokenize(src: str) -> list[_Token]:
             pos = mo.end()
             continue
         if mo.lastgroup == "number":
-            if text.endswith("i"):
-                value = complex(0.0, float(text[:-1]))
-            else:
-                value = complex(float(text), 0.0)
+            imaginary = text.endswith("i")
+            magnitude = float(text[:-1] if imaginary else text)
+            if not cmath.isfinite(magnitude):
+                raise ExpressionError(f"number {text} is not a finite float", line, col)
+            value = complex(0.0, magnitude) if imaginary else complex(magnitude, 0.0)
             tokens.append(_Token("number", text, value, line, col))
         elif mo.lastgroup == "name":
             tokens.append(_Token("name", text, None, line, col))
@@ -332,6 +333,9 @@ class _Parser:
                 sign = -1.0
             else:
                 break
+        if not all(map(cmath.isfinite, (*quad.values(), *lin.values(), const))):
+            raise ExpressionError("a coefficient inside exp is not a finite float",
+                                  head.line, head.col)
         return ExpQuadratic(
             quad=tuple(sorted((k, v) for k, v in quad.items() if v != 0)),
             lin=tuple(sorted((k, v) for k, v in lin.items() if v != 0)),
@@ -510,11 +514,20 @@ def evaluate(node: Node, ctx: DeformationContext) -> Superfunction:
 
     Coordinates ``x1..x{2m}`` index the body, ``xi1..xi{n}`` the odd
     generators; ``star`` nodes multiply with the deformed product of ``ctx``.
+    A subexpression whose value leaves the float range raises
+    :class:`ExpressionError` at its position, so no infinity or NaN reaches
+    the product.
     """
     d = 2 * ctx.m
     n = ctx.n
 
     def ev(nd: Node) -> Superfunction:
+        out = value(nd)
+        if not _is_finite(out):
+            raise ExpressionError("the value here is not a finite float", nd.line, nd.col)
+        return out
+
+    def value(nd: Node) -> Superfunction:
         if isinstance(nd, Literal):
             return Superfunction.one(d, n).scale(nd.value)
         if isinstance(nd, Coordinate):
@@ -548,7 +561,12 @@ def evaluate(node: Node, ctx: DeformationContext) -> Superfunction:
                         f"coordinate x{mu} out of range for a body of "
                         f"dimension {d} (line {nd.line}, column {nd.col})")
                 b[mu - 1] += v
-            fn = ExpPolyFunction.gaussian(d, A, b, cmath.exp(nd.const))
+            try:
+                scale = cmath.exp(nd.const)
+            except OverflowError:
+                raise ExpressionError("the value here is not a finite float",
+                                      nd.line, nd.col) from None
+            fn = ExpPolyFunction.gaussian(d, A, b, scale)
             return Superfunction.from_even(fn, n)
         if isinstance(nd, Neg):
             return ev(nd.operand).scale(-1.0)
@@ -563,3 +581,10 @@ def evaluate(node: Node, ctx: DeformationContext) -> Superfunction:
         raise TypeError(f"cannot evaluate node of type {type(nd).__name__}")
 
     return ev(node)
+
+
+def _is_finite(f: Superfunction) -> bool:
+    return all(cmath.isfinite(z)
+               for fn in f.terms.values()
+               for (A_ut, b), poly in fn.keys.items()
+               for z in (*A_ut, *b, *poly.values()))

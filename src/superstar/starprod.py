@@ -12,6 +12,9 @@ the Gaussian/Fresnel closed form of :mod:`superstar.exppoly` on a doubled
 coordinate space, whose integrated block [[P, X], [X^T, Q]] has the exact
 kernel coupling X = (-i/theta) Omega with X^{-1} = -i theta Omega; a constant
 factor is multiplied pointwise, since every derivative of it vanishes.  The
+kernel integral is linear, so the word pairs that land on one output word
+share one integral: their odd-sector coefficients times their embedded even
+factors are summed into one integrand per output word first.  The
 odd sector is the Clifford algebra of
 the odd generators (Berezin's Weyl-symbol calculus): on words, bits ambient
 then auxiliary in increasing order,
@@ -39,12 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite, pi
+from operator import add
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ClassError, DimensionError, ParameterRangeError, ParityError
-from .exppoly import ExpPolyFunction, ExpPolyTerm, ep_integrate_partial, ep_mul
+from .exppoly import (ExpPolyFunction, ExpPolyTerm, ep_from_keys, ep_integrate_partial,
+                      ep_mul)
 from .grassmann import GrassmannElement, eps
 from .superfun import Superfunction
 
@@ -163,7 +168,8 @@ context_signed_theta = DeformationContext
 
 
 def _is_constant(f: ExpPolyFunction) -> bool:
-    return all(not any(t.alpha) and not any(t.A_ut) and not any(t.b) for t in f.terms)
+    return all(not any(A_ut) and not any(b) and not any(alpha)
+               for (A_ut, b), poly in f.keys.items() for alpha in poly)
 
 
 class _EvenProduct:
@@ -171,13 +177,18 @@ class _EvenProduct:
 
     Doubled space: [original m coords | copies z1 | copies z2]; spectator
     coordinates (not in any block) are shared by both factors.  The space, its
-    kernel and the kernel block's exact inverse X^{-1} (block diagonal,
+    kernel K and the kernel block's exact inverse X^{-1} (block diagonal,
     -i theta Omega per block) are built at the first pair that needs them, and
     each side embeds a word's coefficient once per call, keyed by the word.
-    :func:`ep_integrate_partial` takes X^{-1}, inverts the integrated block
-    through it and divides by the bare kernel's integral, so the result is
-    normalized by construction; with a polynomial or plane-wave factor the
-    normalization is exactly 1 and no eigenvalues are computed.
+
+    Each word pair adds c * embed(f_I) * embed(g_J) * K to one integrand per
+    output word (:meth:`add`), with A and b summed once per key pair.
+    :meth:`integrals` then integrates each output word once; by linearity
+    this is the sum of the per-pair integrals.  :func:`ep_integrate_partial`
+    takes X^{-1}, inverts the integrated block through it and divides by the
+    bare kernel's integral, so the result is normalized by construction; with
+    a polynomial or plane-wave factor the normalization is exactly 1 and no
+    eigenvalues are computed.
     """
 
     def __init__(self, m: int, even_blocks: Sequence[EvenBlock]):
@@ -185,6 +196,12 @@ class _EvenProduct:
         self.even_blocks = even_blocks
         self.act = [c for coords, _ in even_blocks for c in coords]
         self._embedded: tuple[dict, dict] = ({}, {})
+        self._integrands: dict[int, dict] = {}
+
+    def pointwise(self, ff: ExpPolyFunction, gg: ExpPolyFunction) -> bool:
+        """True when the pair's product is pointwise: no active block, or a
+        constant factor, every derivative of which vanishes."""
+        return not self.act or _is_constant(ff) or _is_constant(gg)
 
     @cached_property
     def _space(self):
@@ -232,13 +249,31 @@ class _EvenProduct:
             memo[word] = fn.affine(maps[side], np.zeros(self.m), D)
         return memo[word]
 
-    def __call__(self, wf: int, ff: ExpPolyFunction,
-                 wg: int, gg: ExpPolyFunction) -> ExpPolyFunction:
-        if not self.act or _is_constant(ff) or _is_constant(gg):
-            return ep_mul(ff, gg)
-        D, _, K, x_inv = self._space
-        integrand = ep_mul(ep_mul(self._embed(0, wf, ff), self._embed(1, wg, gg)), K)
-        return ep_integrate_partial(integrand, range(self.m, D), kernel_inv=x_inv)
+    def add(self, word: int, c: complex, wf: int, ff: ExpPolyFunction,
+            wg: int, gg: ExpPolyFunction) -> None:
+        """Add c * embed(ff) * embed(gg) * K to the integrand of ``word``."""
+        _, _, K, _ = self._space
+        ((A_K, b_K),) = K.keys
+        acc = self._integrands.setdefault(word, {})
+        for (A1, b1), p1 in self._embed(0, wf, ff).keys.items():
+            for (A2, b2), p2 in self._embed(1, wg, gg).keys.items():
+                key = (tuple(map(add, map(add, A1, A2), A_K)),
+                       tuple(map(add, map(add, b1, b2), b_K)))
+                poly = acc.setdefault(key, {})
+                for a1, c1 in p1.items():
+                    cc1 = c * c1
+                    for a2, c2 in p2.items():
+                        alpha = tuple(map(add, a1, a2))
+                        poly[alpha] = poly.get(alpha, 0j) + cc1 * c2
+
+    def integrals(self):
+        """(word, integral) for each output word's integrand, in first-seen order."""
+        if not self._integrands:
+            return
+        D, _, _, x_inv = self._space
+        for word, keys in self._integrands.items():
+            yield word, ep_integrate_partial(ep_from_keys(D, keys), range(self.m, D),
+                                             kernel_inv=x_inv)
 
 
 def _clifford_pair(u: int, v: int, c: dict[int, complex]) -> tuple[int, complex]:
@@ -269,6 +304,11 @@ def star_general(f: Superfunction, g: Superfunction,
     all odd generators), the universal deformation formula (a translation
     action touching only some coordinates), and leg-wise products on tensor
     factors (several blocks with their own deformation parameters).
+
+    Each word pair's odd factor comes from the Clifford rule.  A pair with a
+    constant coefficient is multiplied pointwise; every other pair adds its
+    term to its output word's integrand, and each output word then takes one
+    kernel integral, whatever the number of pairs that land on it.
     """
     if f.m != g.m or f.n != g.n:
         raise DimensionError(
@@ -294,8 +334,13 @@ def star_general(f: Superfunction, g: Superfunction,
             word, c = _clifford_pair(wf, wg, clifford)
             if c == 0:
                 continue
-            piece = even(wf, ff, wg, gg).scale(c)
-            out[word] = out[word] + piece if word in out else piece
+            if even.pointwise(ff, gg):
+                piece = ep_mul(ff, gg).scale(c)
+                out[word] = out[word] + piece if word in out else piece
+            else:
+                even.add(word, c, wf, ff, wg, gg)
+    for word, piece in even.integrals():
+        out[word] = out[word] + piece if word in out else piece
     return Superfunction(f.m, f.n, out, naux)
 
 

@@ -15,6 +15,7 @@ relation checks never compare floating-point phases.
 
 from __future__ import annotations
 
+import cmath
 import re
 from typing import Iterable, Sequence
 
@@ -337,9 +338,12 @@ def parse_torus_tokens(text: str) -> tuple[list[tuple[str, int, int]], complex]:
         if i == 0:
             try:
                 coeff = complex(part)
-                continue
             except ValueError:
                 pass
+            else:
+                if not cmath.isfinite(coeff):
+                    raise ValueError(f"coefficient {part!r} is not finite")
+                continue
         raise ValueError(f"cannot parse token {part!r}")
     return tokens, coeff
 

@@ -8,6 +8,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from superstar import cli
 from superstar.cli import build_parser, main
 
 
@@ -94,6 +95,34 @@ def test_star_negative_theta_in_scientific_notation(capsys):
     terms = {tuple(t["alpha"]): complex(*t["c"])
              for t in entry["function"]["terms"]}
     assert abs(terms[(0, 0)] - 0.0005j) <= 1e-18
+
+
+@pytest.mark.parametrize("expression, column", [("1e400", 1), ("exp(-x1*x1) * 1e400", 15)])
+def test_star_non_finite_literal_exits_2(capsys, expression, column):
+    # the tokenizer rejects the literal, with its position
+    code, out, err = run_cli(capsys, "star", "--theta", "1", "--m", "1", expression)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"superstar: expression error: number 1e400 is not a finite float "
+        f"(line 1, column {column})"]
+
+
+def test_star_non_finite_result_exits_2(capsys):
+    # every literal is finite, but the product overflows: no Infinity on stdout
+    code, out, err = run_cli(capsys, "star", "--theta", "1", "--m", "1", "x1*1e308*1e308")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "superstar: expression error: the value here is not a finite float "
+        "(line 1, column 9)"]
+
+
+def test_emit_refuses_non_finite_floats(capsys):
+    # the backstop behind the checks above: no JSON with Infinity or NaN
+    with pytest.raises(ValueError):
+        cli._emit({"x": math.inf}, None)
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +327,91 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzz: random input never ends in a traceback or in invalid JSON
+# ---------------------------------------------------------------------------
+
+_good_atoms = st.sampled_from(
+    ["0", "1", "2.5", ".5", "1e-3", "2i", "0.25i", "i", "x1", "x2", "x3", "x4", "xi1", "xi2",
+     "xi3"]) | st.lists(
+    st.sampled_from(["x1^2", "0.5*x1*x2", "2i*x2", "x1", "x3*x3", "0.25", "i*x1^2"]),
+    min_size=1, max_size=3).map(lambda ms: "exp(-" + " - ".join(ms) + ")")
+# out of the float range, near its edge, or out of the body
+_bad_atoms = st.sampled_from(
+    ["1e400", "1e308", "9e307", "1e160i", "1e-400", "x0", "y1", "exp(x9)", "exp(1e308*x2)",
+     "exp(-1e300*x1*x1)", "exp(1000)"])
+_atoms = st.one_of(_good_atoms, _good_atoms, _good_atoms, _bad_atoms)
+_structured = st.recursive(
+    _atoms,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from([" + ", " - ", " * ", " star "]), inner).map(
+            lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        inner.map(lambda e: f"(-{e})")),
+    max_leaves=5)
+# mostly well-formed expressions, some free text
+_expressions = st.one_of(_structured, _structured, _structured,
+                         st.text(alphabet="x1i2*+-()^e.star ", max_size=16))
+# mostly valid deformation parameters, some out of range or no number at all
+_thetas = st.one_of(
+    st.sampled_from(["1", "-0.7", "0.3", "-1e-3"]),
+    st.sampled_from(["1", "-0.7", "0.3", "-1e-3", "1e-300", "1e300", "inf", "nan", "0"]),
+    st.floats().map(repr))
+_torus_words = st.lists(
+    st.sampled_from(["U1", "V1", "U2^-1", "V2^2", "G1", "G2", "X1", "X2", "U1^0", "2",
+                     "(1+2j)", "1e400", "nan", "W1", "U0", "G1^2"]),
+    max_size=5).map(" ".join)
+
+
+@st.composite
+def _context_flags(draw):
+    """--theta, --m, --n and, sometimes, --signature: valid or not."""
+    m, n = draw(st.sampled_from([0, 1, 2, 2])), draw(st.integers(0, 3))
+    flags = [f"--theta={draw(_thetas)}", "--m", str(m), "--n", str(n)]
+    kind = draw(st.sampled_from(["none", "none", "valid", "any"]))
+    if kind == "valid":
+        p = draw(st.integers(0, n))
+        flags += ["--signature", f"{p},{n - p}"]
+    elif kind == "any":
+        flags += ["--signature", draw(st.sampled_from(["3,1", "0,0", "1", "a,b", "1,1,1"]))]
+    return flags
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
+def _assert_clean(code, out, err):
+    assert code in (0, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == "" and err
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expressions, _context_flags())
+def test_star_fuzz_exits_cleanly(expression, flags):
+    # "--" lets an expression start with a minus sign
+    _assert_clean(*_run_main(["star", *flags, "--", expression]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_torus_words, st.one_of(st.none(), _thetas))
+def test_normalize_fuzz_exits_cleanly(word, theta):
+    argv = ["supertorus", "normalize", word]
+    if theta is not None:
+        argv.append(f"--theta={theta}")
+    _assert_clean(*_run_main(argv))

@@ -12,6 +12,7 @@ from superstar.exppoly import (
     ExpPolyFunction,
     ExpPolyTerm,
     ep_equal,
+    ep_from_distinct,
     ep_integrate,
     ep_integrate_partial,
     ep_max_dev,
@@ -395,3 +396,35 @@ def test_equality_ignores_term_order():
     # scaling by 0 or to an underflow leaves no terms
     assert ab.scale(0).is_zero
     assert ExpPolyFunction.const(2, 1e-300).scale(1e-300).is_zero
+
+
+def test_terms_view_round_trips_and_is_cached():
+    rng = np.random.default_rng(43)
+    for d in (1, 2, 3):
+        f = _keyed_integrand(rng, d, 3) + random_integrable(rng, d, nterms=2)
+        assert ExpPolyFunction(d, f.terms) == f
+        assert f.terms is f.terms
+        # one view term per (key, alpha), read from the keyed storage
+        assert len(f.terms) == sum(len(poly) for poly in f.keys.values())
+        assert {t.key: t.c for t in f.terms} == {
+            (alpha, A_ut, b): c for (A_ut, b), poly in f.keys.items()
+            for alpha, c in poly.items()}
+    # terms handed to ep_from_distinct are the view: they keep their identity
+    kept = f.terms[1:]
+    assert all(a is b for a, b in zip(ep_from_distinct(f.d, kept).terms, kept))
+
+
+def test_json_keeps_sorted_term_order():
+    # terms sorted by alpha, then A and b as (re, im) pairs, whatever order
+    # the keys and exponents were first seen in
+    rng = np.random.default_rng(47)
+    f = _keyed_integrand(rng, 2, 3)
+    shuffled = ExpPolyFunction(2, [f.terms[i] for i in rng.permutation(len(f.terms))])
+    want = sorted(((t.alpha, tuple((z.real, z.imag) for z in t.A_ut),
+                    tuple((z.real, z.imag) for z in t.b)) for t in f.terms))
+    for g in (f, shuffled):
+        got = [(tuple(t["alpha"]),
+                tuple(tuple(z) for i, row in enumerate(t["A"]) for z in row[i:]),
+                tuple(tuple(z) for z in t["b"])) for t in g.to_json_dict()["terms"]]
+        assert got == want
+    assert f.to_json_dict() == shuffled.to_json_dict()

@@ -10,6 +10,7 @@ from superstar.expr import (
     Add,
     Coordinate,
     ExpQuadratic,
+    ExpressionError,
     ExprSyntaxError,
     Literal,
     Mul,
@@ -95,6 +96,8 @@ def test_positions_are_tracked_but_not_compared():
     ("x0", ExprSyntaxError, 1),
     ("foo + 1", UnknownSymbolError, 1),
     ("x1 @ x2", ExprSyntaxError, 4),
+    ("x1 + 1e400i", ExpressionError, 6),
+    ("exp(1e300*x1*1e300)", ExpressionError, 1),
 ])
 def test_errors_with_position(src, exc, col):
     with pytest.raises(exc) as info:

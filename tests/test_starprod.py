@@ -12,6 +12,7 @@ from superstar import exppoly, starprod
 from superstar.errors import ClassError, DimensionError, DivergenceError, ParityError
 from superstar.exppoly import ExpPolyFunction, ep_max_dev
 from superstar.sampling import (
+    random_even,
     random_integrable_factor,
     random_odd_aux_shifts,
     random_oracle_factor,
@@ -34,7 +35,7 @@ from superstar.superfun import (
     sintegrate,
     smul,
 )
-from superstar.verify import _star_pool
+from superstar.verify import _star_pool, verify_star
 
 THETA = 0.7
 
@@ -626,6 +627,84 @@ def test_associativity_catches_dropped_schur_block(monkeypatch):
         worst = max(worst, sf_max_dev(star(ctx, star(ctx, f, g), h),
                                       star(ctx, f, star(ctx, g, h))))
     assert worst > 1e-10
+
+
+def _pair_by_pair(ctx, f, g):
+    """f * g with one kernel integral per word pair, summed per output word."""
+    even = starprod._EvenProduct(f.m, ctx.even_blocks())
+    D, _, K, x_inv = even._space
+    clifford = {1 << (a - 1): 1j * th * e / 2 for a, e, th in ctx.odd_gens()}
+    out, pairs = {}, {}
+    for wf, ff in f.terms.items():
+        for wg, gg in g.terms.items():
+            word, c = starprod._clifford_pair(wf, wg, clifford)
+            if c == 0:
+                continue
+            if even.pointwise(ff, gg):
+                piece = ff * gg
+            else:
+                integrand = (even._embed(0, wf, ff) * even._embed(1, wg, gg)) * K
+                piece = exppoly.ep_integrate_partial(integrand, range(f.m, D), kernel_inv=x_inv)
+                pairs[word] = pairs.get(word, 0) + 1
+            out[word] = out[word] + piece.scale(c) if word in out else piece.scale(c)
+    return out, pairs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("theta", [0.9, -1.2])
+@pytest.mark.parametrize("kind", ["gaussian", "poly"])
+def test_one_integral_per_word_equals_sum_of_pair_integrals(n, theta, kind):
+    # linearity of the kernel integral: the per-word integrand gives the same
+    # keys and coefficients as integrating pair by pair
+    ctx = DeformationContext(theta, 1, n, (n - 1, 1))
+    rng = np.random.default_rng([71, n, int(theta > 0), kind == "poly"])
+    shared = 0
+    for _ in range(3):
+        # four words a side: sixteen pairs on at most eight words
+        f, g = (Superfunction(2, n, {int(w): random_even(rng, 2, kind)
+                                     for w in rng.choice(1 << n, 4, replace=False)})
+                for _ in range(2))
+        want, pairs = _pair_by_pair(ctx, f, g)
+        shared += sum(k - 1 for k in pairs.values())
+        got = star(ctx, f, g)
+        top = max(abs(t.c) for fn in want.values() for t in fn.terms)
+        dev = 0.0
+        for word in set(want) | set(got.terms):
+            a = {t.key: t.c for t in got.coefficient(word).terms}
+            b = {t.key: t.c for t in want[word].terms} if word in want else {}
+            dev = max(dev, max(abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()))
+        assert dev <= 1e-12 * top
+    assert shared > 0  # some output word did receive several pairs
+
+
+def test_word_pairs_on_one_word_make_one_kernel_integral():
+    # a1 * a2 and a2 * a1 both land on the word a1 a2 (a1, a2 auxiliary odd
+    # parameters); the pairs a1 * a1 and a2 * a2 vanish
+    ctx = DeformationContext(0.8, 1, 0)
+    rng = np.random.default_rng(73)
+    coefficient = [random_even(rng, 2, kind) for kind in ("gaussian", "poly") * 2]
+    f = Superfunction(2, 0, {0b01: coefficient[0], 0b10: coefficient[1]}, naux=2)
+    g = Superfunction(2, 0, {0b10: coefficient[2], 0b01: coefficient[3]}, naux=2)
+    assert _pair_by_pair(ctx, f, g)[1] == {0b11: 2}
+    _, _, keys, _ = _count_reductions(ctx, f, g)
+    assert len(keys) == 1
+
+
+def test_associativity_catches_misrouted_word_pair(monkeypatch):
+    # mutant: in every product, one word pair is added to another output
+    # word's integrand
+    add = starprod._EvenProduct.add
+
+    def misrouted(self, word, *args):
+        if self._integrands and word not in self._integrands and not hasattr(self, "_moved"):
+            self._moved = word
+            word = next(iter(self._integrands))
+        add(self, word, *args)
+
+    monkeypatch.setattr(starprod._EvenProduct, "add", misrouted)
+    (assoc,) = [c for c in verify_star(seed=0)["checks"] if c["check"] == "associativity"]
+    assert not assoc["passed"]
+    assert assoc["max_deviation"] > 1e-3
 
 
 def test_context_validation():
