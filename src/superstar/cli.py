@@ -56,16 +56,15 @@ __all__ = ["main", "build_parser"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``-1e-3`` as a negative number rather than as an option.
-
-    argparse's own negative-number pattern has no exponent, so without this
-    ``--theta -1e-3`` fails with "expected one argument".
+    """Reads a single-dash argument that is no option, such as ``-1e-3`` or
+    the expression ``-x1``, as a value; argparse's own pattern takes only
+    plain negative numbers.  ``-h`` is matched first, and no parser may add
+    another single-dash option, or argparse reads all of them as options.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-[^-]")
 
 
 def _tolerance(text: str) -> float:

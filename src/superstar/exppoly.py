@@ -15,8 +15,11 @@ monomial exponent; (A, b) is the term's exponent key.
 Terms of one function share few exponent keys, so a function is stored by
 key: ``keys`` maps (A, b) to the polynomial {alpha: c} that multiplies
 exp(x^T A x + b.x), nonzero and in first-seen order.  Adding a term is a dict
-update, and every operation works per key rather than per term: ``ep_mul``
-adds A and b once per key pair, ``eval`` takes one exponential per key,
+update, and every operation works per key rather than per term:
+:func:`ep_mul_into` adds c * f * g into such a map, A and b once per key
+pair, and :func:`ep_add_into` adds c * f, so that a sum of products is built
+in one map and wrapped once by :func:`ep_from_keys`; ``eval`` takes one
+exponential per key,
 :func:`ep_integrate_partial` computes the eigenvalues, inverse and Schur
 complement of the integrated block once per quadratic form A and the linear
 data once per key, and :meth:`ExpPolyFunction.affine` substitutes each key
@@ -48,12 +51,14 @@ from .errors import DivergenceError
 __all__ = [
     "ExpPolyFunction",
     "ExpPolyTerm",
+    "ep_add_into",
     "ep_equal",
     "ep_from_distinct",
     "ep_from_keys",
     "ep_integrate",
     "ep_integrate_partial",
     "ep_mul",
+    "ep_mul_into",
 ]
 
 # Relative threshold deciding "zero" for eigenvalue/definiteness questions.
@@ -217,17 +222,8 @@ class ExpPolyFunction:
         if isinstance(other, ExpPolyFunction):
             if other.d != self.d:
                 raise ValueError(f"dimension mismatch: {self.d} vs {other.d}")
-            keys = dict(self.keys)
-            for key, poly in other.keys.items():
-                mine = keys.get(key)
-                if mine is None:
-                    keys[key] = poly
-                    continue
-                merged = dict(mine)
-                for alpha, c in poly.items():
-                    merged[alpha] = merged.get(alpha, 0j) + c
-                keys[key] = merged
-            return ep_from_keys(self.d, keys)
+            keys = {key: dict(poly) for key, poly in self.keys.items()}
+            return ep_from_keys(self.d, ep_add_into(keys, other))
         return NotImplemented
 
     def __sub__(self, other):
@@ -415,18 +411,35 @@ def _coefficient_sum(f: ExpPolyFunction) -> complex:
 
 
 def ep_mul(f: ExpPolyFunction, g: ExpPolyFunction) -> ExpPolyFunction:
-    """Exact pointwise product: A and b add once per key pair, exponents per term pair."""
+    """Exact pointwise product f * g."""
+    return ep_from_keys(f.d, ep_mul_into({}, f, g))
+
+
+def ep_mul_into(acc: dict, f: ExpPolyFunction, g: ExpPolyFunction, c=1) -> dict:
+    """Add c * f * g into ``acc``, a {(A_ut, b): {alpha: c}} map whose
+    polynomials are its own (they are updated in place); returns ``acc``.
+    c multiplies the coefficients of f before the product."""
     if f.d != g.d:
         raise ValueError(f"dimension mismatch: {f.d} vs {g.d}")
-    out: dict[tuple, dict[tuple, complex]] = {}
     for (A1, b1), p1 in f.keys.items():
+        if c != 1:
+            p1 = {a1: c * c1 for a1, c1 in p1.items()}
         for (A2, b2), p2 in g.keys.items():
-            acc = out.setdefault((tuple(map(add, A1, A2)), tuple(map(add, b1, b2))), {})
+            poly = acc.setdefault((tuple(map(add, A1, A2)), tuple(map(add, b1, b2))), {})
             for a1, c1 in p1.items():
                 for a2, c2 in p2.items():
                     alpha = tuple(map(add, a1, a2))
-                    acc[alpha] = acc.get(alpha, 0j) + c1 * c2
-    return ep_from_keys(f.d, out)
+                    poly[alpha] = poly.get(alpha, 0j) + c1 * c2
+    return acc
+
+
+def ep_add_into(acc: dict, f: ExpPolyFunction, c=1) -> dict:
+    """Add c * f into ``acc``, a keys map as for :func:`ep_mul_into`."""
+    for key, p in f.keys.items():
+        poly = acc.setdefault(key, {})
+        for alpha, v in p.items():
+            poly[alpha] = poly.get(alpha, 0j) + (v if c == 1 else c * v)
+    return acc
 
 
 def ep_from_keys(d: int, keys: dict) -> ExpPolyFunction:
@@ -663,7 +676,7 @@ def _integrate_form(A_ut: tuple, by_b: Mapping[tuple, Mapping[tuple, complex]],
         b_t = tuple(complex(x) for x in b_u - Auy @ (C @ b_y))
         decay = complex(np.exp(-0.25 * complex(b_y @ C @ b_y)))
         expansions: dict[tuple, dict[tuple, complex]] = {}
-        acc: dict[tuple, complex] = {}
+        acc = out.setdefault((A_u, b_t), {})
         for alpha, c in poly.items():
             beta = tuple(alpha[a] for a in axes)
             if beta not in moments:
@@ -679,12 +692,6 @@ def _integrate_form(A_ut: tuple, by_b: Mapping[tuple, Mapping[tuple, complex]],
                 for expo, coeff in expansions[gamma].items():
                     total = tuple(map(add, alpha_u, expo))
                     acc[total] = acc.get(total, 0j) + ch * coeff
-        have = out.get((A_u, b_t))
-        if have is None:
-            out[A_u, b_t] = acc
-        else:
-            for alpha, c in acc.items():
-                have[alpha] = have.get(alpha, 0j) + c
 
 
 def ep_integrate(f: ExpPolyFunction) -> complex:

@@ -251,6 +251,20 @@ def action_super(ctx: DeformationContext, field: Superfield,
     return action_super_report(ctx, field, params)["value"]
 
 
+def _plane_integrals(phi: ExpPolyFunction, theta: float | None = None):
+    """The raw plane integrals of phi: sum_mu int (d_mu phi)^2, int x^2 phi^2,
+    int phi^2 and, given theta, int phi*^4 under that deformation (else
+    None).  Each caller applies its own factors."""
+    grad_sq = sum((phi.derive(mu) * phi.derive(mu)).integrate() for mu in range(2))
+    x_sq = ExpPolyFunction.monomial(2, (2, 0)) + ExpPolyFunction.monomial(2, (0, 2))
+    quart = None
+    if theta is not None:
+        ctx0 = even_context(theta)
+        f = Superfunction.from_even(phi, 0)
+        quart = star(ctx0, f, star(ctx0, f, star(ctx0, f, f))).body().integrate()
+    return grad_sq, (x_sq * phi * phi).integrate(), (phi * phi).integrate(), quart
+
+
 def action_gw(theta: float, phi: ExpPolyFunction, params: GWParams, *,
               harmonic_sq: float | None = None,
               quartic: float | None = None) -> float:
@@ -268,15 +282,10 @@ def action_gw(theta: float, phi: ExpPolyFunction, params: GWParams, *,
         harmonic_sq = params.target_harmonic_sq
     if quartic is None:
         quartic = params.target_quartic
-    kinetic = 0.5 * sum((phi.derive(mu) * phi.derive(mu)).integrate()
-                        for mu in range(2))
-    x_sq = (ExpPolyFunction.monomial(2, (2, 0))
-            + ExpPolyFunction.monomial(2, (0, 2)))
-    harmonic = (2.0 * harmonic_sq / theta ** 2) * (x_sq * phi * phi).integrate()
-    mass = (params.mass ** 2 / 2.0) * (phi * phi).integrate()
-    ctx0 = even_context(theta)
-    f = Superfunction.from_even(phi, 0)
-    quart = star(ctx0, f, star(ctx0, f, star(ctx0, f, f))).body().integrate()
+    grad_sq, x_sq, phi_sq, quart = _plane_integrals(phi, theta)
+    kinetic = 0.5 * grad_sq
+    harmonic = (2.0 * harmonic_sq / theta ** 2) * x_sq
+    mass = (params.mass ** 2 / 2.0) * phi_sq
     total = complex(kinetic + harmonic + mass + quartic * quart)
     scale = max(1.0, abs(total))
     if abs(total.imag) > 1e-9 * scale:
@@ -310,11 +319,9 @@ def calibration_identities(theta: float, phi: ExpPolyFunction,
         kin_comm += 0.5 * star(ctx0, comm.conj(), comm).body().integrate()
         harm_anti += (harmonic_sq / 2.0) * star(
             ctx0, anti.conj(), anti).body().integrate()
-    kinetic = 0.5 * sum((phi.derive(mu) * phi.derive(mu)).integrate()
-                        for mu in range(2))
-    x_sq = (ExpPolyFunction.monomial(2, (2, 0))
-            + ExpPolyFunction.monomial(2, (0, 2)))
-    harmonic = (2.0 * harmonic_sq / theta ** 2) * (x_sq * phi * phi).integrate()
+    grad_sq, x_sq, _, _ = _plane_integrals(phi)
+    kinetic = 0.5 * grad_sq
+    harmonic = (2.0 * harmonic_sq / theta ** 2) * x_sq
     k_dev = abs(kin_comm - kinetic) / max(1.0, abs(kinetic))
     h_dev = abs(harm_anti - harmonic) / max(1.0, abs(harmonic))
     return {"kinetic_rel_dev": float(k_dev), "harmonic_rel_dev": float(h_dev)}
@@ -341,18 +348,10 @@ def coefficient_fit(params: GWParams,
             ExpPolyFunction.gaussian(2, np.diag([-0.6, -0.35])),
         ]
     ctx = gw_context(params.theta)
-    ctx0 = even_context(params.theta)
-    x_sq = (ExpPolyFunction.monomial(2, (2, 0))
-            + ExpPolyFunction.monomial(2, (0, 2)))
     rows, values = [], []
     for phi in fields:
-        kin = 0.5 * sum((phi.derive(mu) * phi.derive(mu)).integrate().real
-                        for mu in range(2))
-        harm = (x_sq * phi * phi).integrate().real
-        mass = 0.5 * (phi * phi).integrate().real
-        f = Superfunction.from_even(phi, 0)
-        quart = star(ctx0, f, star(ctx0, f, star(ctx0, f, f))).body().integrate().real
-        rows.append([kin, harm, mass, quart])
+        grad_sq, x_sq, phi_sq, quart = _plane_integrals(phi, params.theta)
+        rows.append([0.5 * grad_sq.real, x_sq.real, 0.5 * phi_sq.real, quart.real])
         field = Superfield.identified(phi, params.field_ratio)
         values.append(action_super(ctx, field, params))
     A = np.array(rows)

@@ -225,11 +225,10 @@ def representation(ctx: HeisenbergContext, g: GroupElement,
     base = ExpPolyFunction.plane_wave(m, [-(2.0 / theta) * x for x in g.p], c)
 
     # nilpotent part: every term carries at least one auxiliary generator
-    nil: dict[int, ExpPolyFunction] = {}
+    nil: dict[int, complex] = {}
 
     def add(word: int, coeff: complex) -> None:
-        piece = ExpPolyFunction.const(m, coeff)
-        nil[word] = nil[word] + piece if word in nil else piece
+        nil[word] = nil.get(word, 0j) + coeff
 
     for w, cw in g.t.coeffs.items():
         if w:
@@ -247,8 +246,7 @@ def representation(ctx: HeisenbergContext, g: GroupElement,
         for w, cw in _widen(g.zetabar[cidx], naux).coeffs.items():
             add((1 << (r + cidx)) | (w << n), -lam * cw / 2)
 
-    prefactor = Superfunction.from_even(base, n)
-    prefactor = Superfunction(m, n, prefactor.terms, naux)
+    prefactor = Superfunction(m, n, {0: base}, naux)
     if nil:
         prefactor = smul(prefactor, _exp_nilpotent(Superfunction(m, n, nil, naux)))
     return FockSuperfunction(m, r, s, smul(prefactor, shifted))

@@ -60,12 +60,8 @@ def fundamental_symmetry(f: Superfunction) -> Superfunction:
     full = (1 << f.n) - 1
     out: dict[int, ExpPolyFunction] = {}
     for w, fn in f.terms.items():
-        amb = w & full
-        comp = full & ~amb
-        sign = eps(amb, comp)
-        nw = comp | (w & ~full)
-        piece = fn.scale(sign)
-        out[nw] = out[nw] + piece if nw in out else piece
+        comp = full & ~w
+        out[comp | (w & ~full)] = fn.scale(eps(w & full, comp))
     return Superfunction(f.m, f.n, out, f.naux)
 
 
@@ -157,8 +153,7 @@ def _embed_with_conjugates(phi: FockSuperfunction, naux: int,
                 big |= 1 << (r + 2 * (k - r) + shift)
             else:
                 big |= 1 << (W + (k - r - s))
-        piece = fn.conj() if conjugate else fn
-        out[big] = out[big] + piece if big in out else piece
+        out[big] = fn.conj() if conjugate else fn
     return Superfunction(phi.m, W, out, naux)
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassError, DimensionError, SingularityError
-from .exppoly import ExpPolyFunction
+from .exppoly import ExpPolyFunction, ep_from_keys
 from .grassmann import GrassmannElement
 from .starprod import DeformationContext, star, star_general
 from .superfun import (
@@ -283,11 +283,12 @@ def tensor(qctx: QGroupContext, legs) -> Deferred:
 def _split_leg(qctx: QGroupContext, G: Superfunction, j: int, nlegs: int):
     """Write G = sum_alpha sign_alpha * R_alpha * S_alpha with S carrying all
     leg-j dependence and R none, both on the full leg space.  Requires each
-    term to be uncoupled between leg j and the rest (no Gaussian cross-block)."""
+    key to be uncoupled between leg j and the rest (no Gaussian cross-block)."""
     d, n = qctx.d, qctx.n
     D = nlegs * d
-    j_axes = list(range(j * d, (j + 1) * d))
-    rest_axes = [a for a in range(D) if a not in j_axes]
+    on_j = [j * d <= k < (j + 1) * d for k in range(D)]
+    # per upper-triangle entry of A: 0 rest block, 1 cross block, 2 leg-j block
+    block = [on_j[a] + on_j[b] for a in range(D) for b in range(a, D)]
     jmask = ((1 << n) - 1) << (j * n)
     above = ~((1 << ((j + 1) * n)) - 1)
     pieces = []
@@ -295,33 +296,23 @@ def _split_leg(qctx: QGroupContext, G: Superfunction, j: int, nlegs: int):
         wj = word & jmask
         wr = word & ~jmask
         sign = -1.0 if ((wj.bit_count() * (word & above).bit_count()) % 2) else 1.0
-        for term in fn.terms:
-            A = term.A_matrix()
-            cross = A[np.ix_(j_axes, rest_axes)]
-            scale = max(1.0, float(np.max(np.abs(A), initial=0.0)))
-            if cross.size and float(np.max(np.abs(cross))) > 1e-13 * scale:
+        for (A_ut, b), poly in fn.keys.items():
+            scale = max(1.0, max(map(abs, A_ut), default=0.0))
+            if any(blk == 1 and abs(a) > 1e-13 * scale for blk, a in zip(block, A_ut)):
                 raise ClassError(
                     "term couples leg variables through a Gaussian block; "
                     "no finite separable decomposition")
-            A_S = np.zeros((D, D), dtype=complex)
-            A_S[np.ix_(j_axes, j_axes)] = A[np.ix_(j_axes, j_axes)]
-            A_R = A.copy()
-            A_R[np.ix_(j_axes, j_axes)] = 0
-            b = np.asarray(term.b, dtype=complex)
-            b_S, b_R = np.zeros(D, dtype=complex), b.copy()
-            b_S[j_axes] = b[j_axes]
-            b_R[j_axes] = 0
-            alpha = np.asarray(term.alpha, dtype=int)
-            alpha_S, alpha_R = np.zeros(D, dtype=int), alpha.copy()
-            alpha_S[j_axes] = alpha[j_axes]
-            alpha_R[j_axes] = 0
-            S_fn = (ExpPolyFunction.gaussian(D, A_S, b_S)
-                    * ExpPolyFunction.monomial(D, tuple(alpha_S)))
-            R_fn = (ExpPolyFunction.gaussian(D, A_R, b_R, term.c)
-                    * ExpPolyFunction.monomial(D, tuple(alpha_R)))
-            R = Superfunction(D, nlegs * n, {wr: R_fn})
-            S = Superfunction(D, nlegs * n, {wj: S_fn})
-            pieces.append((R, S, sign))
+            key_S = (tuple(a if blk == 2 else 0j for blk, a in zip(block, A_ut)),
+                     tuple(x if on else 0j for on, x in zip(on_j, b)))
+            key_R = (tuple(0j if blk == 2 else a for blk, a in zip(block, A_ut)),
+                     tuple(0j if on else x for on, x in zip(on_j, b)))
+            for alpha, c in poly.items():
+                alpha_S = tuple(a if on else 0 for on, a in zip(on_j, alpha))
+                alpha_R = tuple(0 if on else a for on, a in zip(on_j, alpha))
+                R = Superfunction(D, nlegs * n, {wr: ep_from_keys(D, {key_R: {alpha_R: c}})})
+                S = Superfunction(D, nlegs * n,
+                                  {wj: ep_from_keys(D, {key_S: {alpha_S: 1 + 0j}})})
+                pieces.append((R, S, sign))
     return pieces
 
 

@@ -42,14 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite, pi
-from operator import add
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ClassError, DimensionError, ParameterRangeError, ParityError
-from .exppoly import (ExpPolyFunction, ExpPolyTerm, ep_from_keys, ep_integrate_partial,
-                      ep_mul)
+from .exppoly import (ExpPolyFunction, ExpPolyTerm, ep_add_into, ep_from_keys,
+                      ep_integrate_partial, ep_mul, ep_mul_into)
 from .grassmann import GrassmannElement, eps
 from .superfun import Superfunction
 
@@ -181,14 +180,16 @@ class _EvenProduct:
     -i theta Omega per block) are built at the first pair that needs them, and
     each side embeds a word's coefficient once per call, keyed by the word.
 
-    Each word pair adds c * embed(f_I) * embed(g_J) * K to one integrand per
-    output word (:meth:`add`), with A and b summed once per key pair.
-    :meth:`integrals` then integrates each output word once; by linearity
-    this is the sum of the per-pair integrals.  :func:`ep_integrate_partial`
-    takes X^{-1}, inverts the integrated block through it and divides by the
-    bare kernel's integral, so the result is normalized by construction; with
-    a polynomial or plane-wave factor the normalization is exactly 1 and no
-    eigenvalues are computed.
+    Each word pair adds c * (embed(f_I) * K) * embed(g_J) to one integrand
+    per output word in one :func:`~superstar.exppoly.ep_mul_into` call
+    (:meth:`add`); the left factor carries K, multiplied in once per left
+    word and memoized like the embeddings.  :meth:`integrals` then
+    integrates each output word once; by linearity this is the sum of the
+    per-pair integrals.  :func:`ep_integrate_partial` takes X^{-1}, inverts
+    the integrated block through it and divides by the bare kernel's
+    integral, so the result is normalized by construction; with a polynomial
+    or plane-wave factor the normalization is exactly 1 and no eigenvalues
+    are computed.
     """
 
     def __init__(self, m: int, even_blocks: Sequence[EvenBlock]):
@@ -196,6 +197,7 @@ class _EvenProduct:
         self.even_blocks = even_blocks
         self.act = [c for coords, _ in even_blocks for c in coords]
         self._embedded: tuple[dict, dict] = ({}, {})
+        self._with_kernel: dict[int, ExpPolyFunction] = {}
         self._integrands: dict[int, dict] = {}
 
     def pointwise(self, ff: ExpPolyFunction, gg: ExpPolyFunction) -> bool:
@@ -251,20 +253,13 @@ class _EvenProduct:
 
     def add(self, word: int, c: complex, wf: int, ff: ExpPolyFunction,
             wg: int, gg: ExpPolyFunction) -> None:
-        """Add c * embed(ff) * embed(gg) * K to the integrand of ``word``."""
-        _, _, K, _ = self._space
-        ((A_K, b_K),) = K.keys
-        acc = self._integrands.setdefault(word, {})
-        for (A1, b1), p1 in self._embed(0, wf, ff).keys.items():
-            for (A2, b2), p2 in self._embed(1, wg, gg).keys.items():
-                key = (tuple(map(add, map(add, A1, A2), A_K)),
-                       tuple(map(add, map(add, b1, b2), b_K)))
-                poly = acc.setdefault(key, {})
-                for a1, c1 in p1.items():
-                    cc1 = c * c1
-                    for a2, c2 in p2.items():
-                        alpha = tuple(map(add, a1, a2))
-                        poly[alpha] = poly.get(alpha, 0j) + cc1 * c2
+        """Add c * embed(ff) * K * embed(gg) to the integrand of ``word``."""
+        left = self._with_kernel.get(wf)
+        if left is None:
+            D, _, K, _ = self._space
+            left = self._with_kernel[wf] = ep_from_keys(
+                D, ep_mul_into({}, self._embed(0, wf, ff), K))
+        ep_mul_into(self._integrands.setdefault(word, {}), left, self._embed(1, wg, gg), c)
 
     def integrals(self):
         """(word, integral) for each output word's integrand, in first-seen order."""
@@ -308,7 +303,9 @@ def star_general(f: Superfunction, g: Superfunction,
     Each word pair's odd factor comes from the Clifford rule.  A pair with a
     constant coefficient is multiplied pointwise; every other pair adds its
     term to its output word's integrand, and each output word then takes one
-    kernel integral, whatever the number of pairs that land on it.
+    kernel integral, whatever the number of pairs that land on it.  The
+    pointwise products and the integrals are added into one keys map per
+    output word, which becomes its coefficient once, at the end.
     """
     if f.m != g.m or f.n != g.n:
         raise DimensionError(
@@ -328,20 +325,19 @@ def star_general(f: Superfunction, g: Superfunction,
         clifford[1 << (a - 1)] = 1j * th * e / 2
     naux = f._unify(g)
     even = _EvenProduct(f.m, even_blocks)
-    out: dict[int, ExpPolyFunction] = {}
+    out: dict[int, dict] = {}
     for wf, ff in f.terms.items():
         for wg, gg in g.terms.items():
             word, c = _clifford_pair(wf, wg, clifford)
             if c == 0:
                 continue
             if even.pointwise(ff, gg):
-                piece = ep_mul(ff, gg).scale(c)
-                out[word] = out[word] + piece if word in out else piece
+                ep_mul_into(out.setdefault(word, {}), ff, gg, c)
             else:
                 even.add(word, c, wf, ff, wg, gg)
     for word, piece in even.integrals():
-        out[word] = out[word] + piece if word in out else piece
-    return Superfunction(f.m, f.n, out, naux)
+        ep_add_into(out.setdefault(word, {}), piece)
+    return Superfunction.from_keys(f.m, f.n, out, naux)
 
 
 def star(ctx: DeformationContext, f: Superfunction, g: Superfunction) -> Superfunction:

@@ -21,7 +21,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionError, ParityError
-from .exppoly import ExpPolyFunction, ep_from_distinct, ep_max_dev, ep_mul
+from .exppoly import (ExpPolyFunction, ep_add_into, ep_from_distinct, ep_from_keys, ep_max_dev,
+                      ep_mul_into)
 from .grassmann import GrassmannElement, eps, indices_from_bits
 
 __all__ = [
@@ -47,7 +48,7 @@ class Superfunction:
         self.m = m
         self.n = n
         self.naux = naux
-        out: dict[int, ExpPolyFunction] = {}
+        self.terms: dict[int, ExpPolyFunction] = {}
         if terms:
             limit = 1 << (n + naux)
             for word, f in terms.items():
@@ -59,14 +60,20 @@ class Superfunction:
                 if f.d != m:
                     raise DimensionError(f"coefficient dimension {f.d} != m={m}")
                 if not f.is_zero:
-                    out[word] = out[word] + f if word in out else f
-        self.terms = {w: f for w, f in out.items() if not f.is_zero}
+                    self.terms[word] = f
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, m: int, n: int, naux: int = 0) -> "Superfunction":
         return cls(m, n, {}, naux)
+
+    @classmethod
+    def from_keys(cls, m: int, n: int, words: Mapping[int, dict],
+                  naux: int = 0) -> "Superfunction":
+        """Take over one {(A_ut, b): {alpha: c}} map per word, each wrapped
+        once by :func:`~superstar.exppoly.ep_from_keys`."""
+        return cls(m, n, {w: ep_from_keys(m, keys) for w, keys in words.items()}, naux)
 
     @classmethod
     def one(cls, m: int, n: int) -> "Superfunction":
@@ -130,7 +137,8 @@ class Superfunction:
         return ps.pop() if len(ps) == 1 else None
 
     def coefficient(self, word: int) -> ExpPolyFunction:
-        return self.terms.get(word, ExpPolyFunction.zero(self.m))
+        f = self.terms.get(word)
+        return ExpPolyFunction.zero(self.m) if f is None else f
 
     @property
     def is_zero(self) -> bool:
@@ -226,18 +234,13 @@ class Superfunction:
 def smul(f: Superfunction, g: Superfunction) -> Superfunction:
     """Pointwise graded-commutative product."""
     naux = f._unify(g)
-    out: dict[int, ExpPolyFunction] = {}
+    out: dict[int, dict] = {}
     for I, fI in f.terms.items():
         for J, gJ in g.terms.items():
             sign = eps(I, J)
-            if sign == 0:
-                continue
-            prod = ep_mul(fI, gJ)
-            if sign < 0:
-                prod = prod.scale(-1.0)
-            K = I | J
-            out[K] = out[K] + prod if K in out else prod
-    return Superfunction(f.m, f.n, out, naux)
+            if sign:
+                ep_mul_into(out.setdefault(I | J, {}), fI, gJ, sign)
+    return Superfunction.from_keys(f.m, f.n, out, naux)
 
 
 def sintegrate(f: Superfunction):
@@ -290,7 +293,7 @@ def substitute(f: Superfunction, *, new_n: int | None = None, new_naux: int | No
         if img.n != width:
             raise DimensionError("odd image lives on the wrong target algebra")
 
-    out: dict[int, ExpPolyFunction] = {}
+    out: dict[int, dict] = {}
     for word, fn in f.terms.items():
         if even_M is not None or even_v is not None:
             M = np.eye(f.m) if even_M is None else even_M
@@ -307,9 +310,8 @@ def substitute(f: Superfunction, *, new_n: int | None = None, new_naux: int | No
         if not acc:
             continue
         for new_word, coeff in acc.coeffs.items():
-            piece = fn.scale(coeff)
-            out[new_word] = out[new_word] + piece if new_word in out else piece
-    return Superfunction(m, n, out, naux)
+            ep_add_into(out.setdefault(new_word, {}), fn, coeff)
+    return Superfunction.from_keys(m, n, out, naux)
 
 
 def grassmann_translate(f: Superfunction, eta: Sequence[GrassmannElement | None]) -> Superfunction:

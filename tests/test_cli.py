@@ -97,6 +97,21 @@ def test_star_negative_theta_in_scientific_notation(capsys):
     assert abs(terms[(0, 0)] - 0.0005j) <= 1e-18
 
 
+@pytest.mark.parametrize("expression", ["-x1", "-(x1)", "-2*x1*x2", "-1e-3*x1"])
+def test_star_expression_with_leading_minus(capsys, expression):
+    # a single-dash argument that is no option is the expression, as after "--"
+    code, out, err = run_cli(capsys, "star", expression)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, "star", "--", expression)
+    assert json.loads(out)["result"]
+    code, out, _ = run_cli(capsys, "star", "--theta", "-1e-3", expression)
+    assert code == 0 and json.loads(out)["context"]["theta"] == -0.001
+    with pytest.raises(SystemExit) as info:
+        main(["star", "-h"])
+    assert info.value.code == 0
+    assert "usage: superstar star" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("expression, column", [("1e400", 1), ("exp(-x1*x1) * 1e400", 15)])
 def test_star_non_finite_literal_exits_2(capsys, expression, column):
     # the tokenizer rejects the literal, with its position

@@ -11,13 +11,16 @@ from superstar.errors import DivergenceError
 from superstar.exppoly import (
     ExpPolyFunction,
     ExpPolyTerm,
+    ep_add_into,
     ep_equal,
     ep_from_distinct,
     ep_integrate,
     ep_integrate_partial,
     ep_max_dev,
     ep_mul,
+    ep_mul_into,
 )
+from superstar.sampling import random_even
 
 RNG = np.random.default_rng(20260817)
 
@@ -295,6 +298,29 @@ def test_mul_commutative_associative_structural():
         h = random_integrable(rng, 2)
         assert ep_mul(f, g) == ep_mul(g, f)
         assert ep_equal(ep_mul(ep_mul(f, g), h), ep_mul(f, ep_mul(g, h)), tol=1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_mul_into_matches_mul_and_scale_exactly(d):
+    # the accumulating product is the product's keys map, bit for bit; with
+    # c = -1 it is the negated product, since negation commutes with rounding
+    rng = np.random.default_rng([29, d])
+    for _ in range(10):
+        f, g = (sum((random_even(rng, d, kind)
+                     for kind in rng.permutation(["gaussian", "poly", "pw"])),
+                    ExpPolyFunction.zero(d)) for _ in range(2))
+        assert ep_mul_into({}, f, g) == ep_mul(f, g).keys
+        assert ep_mul_into({}, f, g, -1) == ep_mul(f, g).scale(-1).keys
+        assert ep_mul_into({}, f, g, -1) != ep_mul(f, g).keys
+        # adding into a map sums like __add__ and scales like scale
+        assert ep_add_into(ep_add_into({}, f), g) == (f + g).keys
+        c = complex(rng.normal(), rng.normal())
+        assert ep_add_into({}, f, c) == f.scale(c).keys
+        # accumulating never writes into the operands' polynomials
+        keys_f = {key: dict(poly) for key, poly in f.keys.items()}
+        acc = ep_add_into({}, f)
+        ep_mul_into(acc, f, g)
+        assert f.keys == keys_f
 
 
 def test_translate_examples():

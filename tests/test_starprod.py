@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superstar import exppoly, starprod
+from superstar import exppoly, starprod, superfun
 from superstar.errors import ClassError, DimensionError, DivergenceError, ParityError
 from superstar.exppoly import ExpPolyFunction, ep_max_dev
 from superstar.sampling import (
@@ -515,6 +515,55 @@ def test_one_eigendecomposition_per_exponent_key():
         ctx, Superfunction.from_even(waves, 0), Superfunction.from_even(x1 * x1, 0))
     assert keys == [2] and forms == [1]
     assert n_eig == 0 and inv_sizes == []
+
+
+def _dense_factor(rng, ctx):
+    """A factor with a coefficient on every odd word, mixing the even classes."""
+    d = 2 * ctx.m
+    kinds = ("gaussian", "poly", "pw")
+    return Superfunction(d, ctx.n, {
+        w: random_even(rng, d, kinds[w % 3]) if d else ExpPolyFunction.const(
+            0, complex(rng.normal(), rng.normal()))
+        for w in range(1 << ctx.n)})
+
+
+@pytest.mark.parametrize("m, n", [(0, 5), (1, 3)])
+def test_products_build_each_output_coefficient_once(monkeypatch, m, n):
+    # the word-pair loops of smul and star add into one keys map per output
+    # word, and each map becomes a function once; no coefficient is added or
+    # scaled as a function on the way
+    ctx = DeformationContext(0.9, m, n, (n - 1, 1))
+    rng = np.random.default_rng([83, m, n])
+    f, g = _dense_factor(rng, ctx), _dense_factor(rng, ctx)
+    built = {}
+    for module in (exppoly, starprod, superfun):
+        def counting(d, keys, _module=module.__name__, _orig=module.ep_from_keys):
+            built[_module] = built.get(_module, 0) + 1
+            return _orig(d, keys)
+        monkeypatch.setattr(module, "ep_from_keys", counting)
+
+    def forbidden(*args):
+        raise AssertionError("a product added or scaled a coefficient")
+
+    for name in ("__add__", "scale"):
+        monkeypatch.setattr(ExpPolyFunction, name, forbidden)
+    monkeypatch.setattr(starprod, "ep_mul", forbidden)
+    for product in (smul, lambda f, g: star(ctx, f, g)):
+        built.clear()
+        out = product(f, g)
+        assert len(out.terms) > 1
+        assert built.pop("superstar.superfun") == len(out.terms)
+        # with even coordinates, star also embeds each word and integrates
+        # each output word once; on R^{0|n} every pair is pointwise
+        if product is smul or not m:
+            # every pair is pointwise
+            assert built == {}
+        else:
+            # per word, not per word pair: each embedding, each left word
+            # times the kernel, each output word's integrand and integral
+            nf, ng, nout = len(f.terms), len(g.terms), len(out.terms)
+            assert built["superstar.starprod"] <= nf + nout
+            assert built["superstar.exppoly"] <= nf + ng + nout + 1
 
 
 def _kernel_form(rng, m: int, theta: float, kind: str):
