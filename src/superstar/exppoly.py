@@ -28,13 +28,14 @@ and each monomial exponent once.  ``terms`` is a read-only tuple of
 and for callers that want terms.  Equality ignores order, and only the JSON
 form sorts.
 
-A kernel integral on a doubled space, where the integrated block is
-[[P, X], [X^T, Q]] with a known oscillatory coupling X, passes X^{-1} to
-:func:`ep_integrate_partial`.  The inverse then comes from the Schur complement
-through X, and the result is divided by the bare kernel's integral.  When P or
+A kernel integral on a doubled space [u | z1 | z2] passes the kernel's
+coupling X and its exact inverse to :func:`ep_integrate_partial`, which is
+the one place that multiplies by the kernel: it adds X to the integrated
+block, making it [[P, X], [X^T, Q]], inverts that through the Schur
+complement on X^{-1}, and divides by the bare kernel's integral.  When P or
 Q vanishes (a polynomial or plane-wave factor) the inverse and that
-normalization are exact: the blocks that are zero in exact arithmetic are zero,
-no eigenvalues are computed, and the normalization is exactly 1.
+normalization are exact: the blocks that are zero in exact arithmetic are
+zero, no eigenvalues are computed, and the normalization is exactly 1.
 """
 
 from __future__ import annotations
@@ -289,20 +290,20 @@ class ExpPolyFunction:
                         acc[higher] = acc.get(higher, 0j) + 2 * c * aij
         return ep_from_keys(self.d, out)
 
-    def affine(self, M, v, new_d: int | None = None) -> "ExpPolyFunction":
+    def affine(self, M, v) -> "ExpPolyFunction":
         """Exact substitution x -> M y + v, returning a function of y.
 
-        M has shape (self.d, new_d) and may be rectangular (embeddings,
-        evaluations); v has length self.d.  The exponent data is substituted
-        once per key (A, b), the polynomial part
-        prod_i (M[i,:].y + v_i)^alpha_i once per exponent alpha.
+        M is a (self.d, k) array, so y lives on R^k; M may be rectangular
+        (embeddings, evaluations) and k = M.shape[1] also for an empty map.
+        v has length self.d.  The exponent data is substituted once per key
+        (A, b), the polynomial part prod_i (M[i,:].y + v_i)^alpha_i once per
+        exponent alpha.
         """
+        M = np.asarray(M, dtype=complex)
+        if M.ndim != 2 or M.shape[0] != self.d:
+            raise ValueError(f"map of shape {M.shape} does not act on R^{self.d}")
+        new_d = M.shape[1]
         v = np.asarray(v, dtype=complex).reshape(self.d)
-        if new_d is None:
-            M = np.asarray(M, dtype=complex).reshape(self.d, -1)
-            new_d = M.shape[1]
-        else:
-            M = np.asarray(M, dtype=complex).reshape(self.d, new_d)
         expansions: dict[tuple, dict[tuple, complex]] = {}
         out: dict[tuple, dict[tuple, complex]] = {}
         for (A_ut, b_ut), poly in self.keys.items():
@@ -324,7 +325,7 @@ class ExpPolyFunction:
 
     def translate(self, a) -> "ExpPolyFunction":
         """f(x) -> f(x + a)."""
-        return self.affine(np.eye(self.d), a, self.d)
+        return self.affine(np.eye(self.d), a)
 
     def integrate(self) -> complex:
         return ep_integrate(self)
@@ -549,7 +550,7 @@ def _affine_monomial_expand(rows, powers, k: int) -> dict[tuple, complex]:
 
 
 def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int], *,
-                         kernel_inv: np.ndarray | None = None) -> ExpPolyFunction:
+                         kernel: tuple[np.ndarray, np.ndarray] | None = None) -> ExpPolyFunction:
     """Integrate out the given axes exactly; remaining axes keep their order.
 
     The integral over y (the selected axes) of y^beta e^{y^T Ayy y + s(u).y}
@@ -567,12 +568,12 @@ def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int], *,
     (b_y + B u)^gamma for each distinct gamma.  The coefficients of a key are
     summed in one dict, in term order, before any term is built.
 
-    ``kernel_inv`` is for kernel integrals on a doubled space: the integrated
-    axes split into halves z1, z2, every integrated block is
-    Ayy = [[P, X], [X^T, Q]] with one purely imaginary coupling X, and
-    ``kernel_inv`` is its exact inverse.  Then C is the Schur complement
-    through X (:func:`_kernel_inverse`), and the result is divided by the bare
-    kernel's integral pi^{l/2} |det X^{-1}|.  When P or Q is zero,
+    ``kernel`` = (X, X^{-1}) makes this the star product's kernel integral:
+    the integrated axes split into halves z1, z2, and f is multiplied by the
+    normalized kernel e^{2 z1^T X z2} / (pi^{l/2} |det X^{-1}|), the bare
+    kernel's integral being the denominator.  Every integrated block is then
+    Ayy = [[P, X], [X^T, Q]], and C is the Schur complement through the
+    exact X^{-1} (:func:`_kernel_inverse`).  When P or Q is zero,
     det(-Ayy) = det(-X)^2 (-1)^{l/2} does not depend on the other block, so
     the normalized Z is exactly 1 and no eigenvalues are computed; the
     admissibility test is then the one on Re(Ayy) = diag(Re P, Re Q).
@@ -586,13 +587,12 @@ def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int], *,
         raise ValueError(f"axes {wanted} out of range for d={f.d}")
     if not axes:
         return f
-    kernel = None
-    if kernel_inv is not None:
-        kernel_inv = np.asarray(kernel_inv, dtype=complex)
-        if 2 * len(kernel_inv) != len(axes):
-            raise ValueError(f"kernel block of size {len(kernel_inv)} does not "
+    if kernel is not None:
+        X, x_inv = (np.asarray(a, dtype=complex) for a in kernel)
+        if 2 * len(x_inv) != len(axes) or X.shape != x_inv.shape:
+            raise ValueError(f"kernel block of size {len(x_inv)} does not "
                              f"split {len(axes)} integrated axes")
-        kernel = (kernel_inv, abs(np.linalg.det(kernel_inv)))
+        kernel = (X, x_inv, abs(np.linalg.det(x_inv)))
     keep = [i for i in range(f.d) if i not in axes]
     groups: dict[tuple, dict[tuple, dict[tuple, complex]]] = {}
     for (A_ut, b), poly in f.keys.items():
@@ -630,13 +630,17 @@ def _integrate_form(A_ut: tuple, by_b: Mapping[tuple, Mapping[tuple, complex]],
     """Integrate the keys sharing one quadratic form A, given as {b: {alpha: c}}.
 
     Each key's result is added into ``out``, a {(A_ut, b): {alpha: c}} map of
-    the kept variables.  ``kernel`` is (X^{-1}, |det X^{-1}|) for a kernel
-    integral, else None.
+    the kept variables.  ``kernel`` is (X, X^{-1}, |det X^{-1}|) for a kernel
+    integral, whose coupling X is added to the integrated block here, else
+    None.
     """
     k, ell = len(keep), len(axes)
     A = _matrix_from_ut(A_ut, k + ell)
     Ayy = A[np.ix_(axes, axes)]
     half = ell // 2
+    if kernel is not None:
+        Ayy[:half, half:] += kernel[0]
+        Ayy[half:, :half] += kernel[0].T
     one_sided = kernel is not None and (not Ayy[:half, :half].any()
                                         or not Ayy[half:, half:].any())
     # admissibility of the integrated block
@@ -659,7 +663,7 @@ def _integrate_form(A_ut: tuple, by_b: Mapping[tuple, Mapping[tuple, complex]],
         C = np.linalg.inv(Ayy)
         Z = pi ** (ell / 2) / np.prod([_principal_sqrt(m) for m in mu])
     else:
-        x_inv, kernel_det = kernel
+        _, x_inv, kernel_det = kernel
         C = _kernel_inverse(Ayy[:half, :half], Ayy[:half, half:], Ayy[half:, half:],
                             x_inv)
         Z = 1.0 if one_sided else 1.0 / (

@@ -209,27 +209,17 @@ def _embed_leg(qctx: QGroupContext, g: Superfunction, leg: int, nlegs: int) -> S
     for i in range(d):
         M[i, leg * d + i] = 1.0
     images = [GrassmannElement.monomial(N, 1 << (leg * n + k)) for k in range(n)]
-    return substitute(g, new_m=D, even_M=M, even_v=np.zeros(d),
-                      new_n=N, odd_images=images)
+    return substitute(g, images, N, M)
 
 
 def coproduct(qctx: QGroupContext, f: QGroupElement) -> Deferred:
-    """Delta f((t1,z1),(t2,z2)) = f((t1,z1).(t2,z2)) = f(t1+t2, pi_{t2} z1 + z2)."""
-    d, n = qctx.d, qctx.n
+    """Delta f((t1,z1),(t2,z2)) = f((t1,z1).(t2,z2)) = f(t1+t2, pi_{t2} z1 + z2):
+    each coefficient on leg 0, pulled back by the twist z1 -> pi_{t2} z1 + z2."""
 
     def fn(t1, t2):
-        out = Superfunction.zero(2 * d, 2 * n)
-        diag = qctx.dilation_diag(t2)
-        M = np.zeros((d, 2 * d))
-        for i in range(d):
-            M[i, i] = diag[i]
-            M[i, d + i] = 1.0
-        images = [GrassmannElement.monomial(2 * n, 1 << k)
-                  + GrassmannElement.monomial(2 * n, 1 << (n + k))
-                  for k in range(n)]
+        out = Superfunction.zero(2 * qctx.d, 2 * qctx.n)
         for u, g in f.terms:
-            big = substitute(g, new_m=2 * d, even_M=M, even_v=np.zeros(d),
-                             new_n=2 * n, odd_images=images)
+            big = _coproduct_twist(qctx, _embed_leg(qctx, g, 0, 2), 0, 1, 2, t2)
             out = out + big.scale(_u_eval(u, t1 + t2))
         return out
 
@@ -255,8 +245,7 @@ def antipode(qctx: QGroupContext, f) -> Deferred:
         M = np.diag(-qctx.dilation_diag(-t))
         images = [GrassmannElement.monomial(n, 1 << k, -1.0) for k in range(n)]
         g = f.at(-t)
-        return substitute(g, new_m=d, even_M=M, even_v=np.zeros(d),
-                          new_n=n, odd_images=images)
+        return substitute(g, images, n, M)
 
     return Deferred(1, fn)
 
@@ -333,8 +322,7 @@ def _coproduct_twist(qctx: QGroupContext, G: Superfunction, i: int, j: int,
             img = img + GrassmannElement.monomial(
                 N, 1 << (j * n + (g - i * n)))
         images.append(img)
-    return substitute(G, new_m=D, even_M=M, even_v=np.zeros(D),
-                      new_n=N, odd_images=images)
+    return substitute(G, images, N, M)
 
 
 def w_apply(qctx: QGroupContext, F, i: int, j: int) -> Deferred:

@@ -175,21 +175,20 @@ class _EvenProduct:
     """Even-sector kernel integrals of one :func:`star_general` call.
 
     Doubled space: [original m coords | copies z1 | copies z2]; spectator
-    coordinates (not in any block) are shared by both factors.  The space, its
-    kernel K and the kernel block's exact inverse X^{-1} (block diagonal,
-    -i theta Omega per block) are built at the first pair that needs them, and
-    each side embeds a word's coefficient once per call, keyed by the word.
+    coordinates (not in any block) are shared by both factors.  The space,
+    its embedding maps and the kernel coupling X with its exact inverse
+    X^{-1} (block diagonal, (-i/theta) Omega and -i theta Omega per block)
+    are built at the first pair that needs them, and each side embeds a
+    word's coefficient once per call, keyed by the word.
 
-    Each word pair adds c * (embed(f_I) * K) * embed(g_J) to one integrand
-    per output word in one :func:`~superstar.exppoly.ep_mul_into` call
-    (:meth:`add`); the left factor carries K, multiplied in once per left
-    word and memoized like the embeddings.  :meth:`integrals` then
-    integrates each output word once; by linearity this is the sum of the
-    per-pair integrals.  :func:`ep_integrate_partial` takes X^{-1}, inverts
-    the integrated block through it and divides by the bare kernel's
-    integral, so the result is normalized by construction; with a polynomial
-    or plane-wave factor the normalization is exactly 1 and no eigenvalues
-    are computed.
+    Each word pair adds c * embed(f_I) * embed(g_J) to one integrand per
+    output word in one :func:`~superstar.exppoly.ep_mul_into` call
+    (:meth:`add`).  :meth:`integrals` then integrates each output word once
+    against the kernel; by linearity this is the sum of the per-pair
+    integrals.  :func:`ep_integrate_partial` multiplies by the normalized
+    kernel from (X, X^{-1}), so the result is normalized by construction;
+    with a polynomial or plane-wave factor the normalization is exactly 1
+    and no eigenvalues are computed.
     """
 
     def __init__(self, m: int, even_blocks: Sequence[EvenBlock]):
@@ -197,7 +196,6 @@ class _EvenProduct:
         self.even_blocks = even_blocks
         self.act = [c for coords, _ in even_blocks for c in coords]
         self._embedded: tuple[dict, dict] = ({}, {})
-        self._with_kernel: dict[int, ExpPolyFunction] = {}
         self._integrands: dict[int, dict] = {}
 
     def pointwise(self, ff: ExpPolyFunction, gg: ExpPolyFunction) -> bool:
@@ -217,7 +215,7 @@ class _EvenProduct:
         for j, c in enumerate(act):
             M1[c, m + j] = 1.0
             M2[c, m + k_act + j] = 1.0
-        A = np.zeros((D, D), dtype=complex)
+        X = np.zeros((k_act, k_act), dtype=complex)
         x_inv = np.zeros((k_act, k_act), dtype=complex)
         pref = 1.0  # only checked: ep_integrate_partial divides by 1/pref itself
         off = 0
@@ -227,11 +225,7 @@ class _EvenProduct:
             Om = np.zeros((k2, k2))
             Om[:k, k:] = np.eye(k)
             Om[k:, :k] = -np.eye(k)
-            X = (-1j / th) * Om  # z1^T (2X) z2 in the exponent
-            i1 = m + off
-            i2 = m + k_act + off
-            A[i1:i1 + k2, i2:i2 + k2] += X
-            A[i2:i2 + k2, i1:i1 + k2] += X.T
+            X[off:off + k2, off:off + k2] = (-1j / th) * Om  # z1^T (2X) z2 in the exponent
             x_inv[off:off + k2, off:off + k2] = (-1j * th) * Om
             try:
                 pref *= 1.0 / (pi ** k2 * th ** k2)
@@ -242,33 +236,28 @@ class _EvenProduct:
                     f"theta={th!r}: the kernel prefactor 1/(pi theta)^{k2} is not "
                     "a finite nonzero float")
             off += k2
-        return D, (M1, M2), ExpPolyFunction.gaussian(D, A), x_inv
+        return D, (M1, M2), (X, x_inv)
 
     def _embed(self, side: int, word: int, fn: ExpPolyFunction) -> ExpPolyFunction:
         memo = self._embedded[side]
         if word not in memo:
-            D, maps, _, _ = self._space
-            memo[word] = fn.affine(maps[side], np.zeros(self.m), D)
+            memo[word] = fn.affine(self._space[1][side], np.zeros(self.m))
         return memo[word]
 
     def add(self, word: int, c: complex, wf: int, ff: ExpPolyFunction,
             wg: int, gg: ExpPolyFunction) -> None:
-        """Add c * embed(ff) * K * embed(gg) to the integrand of ``word``."""
-        left = self._with_kernel.get(wf)
-        if left is None:
-            D, _, K, _ = self._space
-            left = self._with_kernel[wf] = ep_from_keys(
-                D, ep_mul_into({}, self._embed(0, wf, ff), K))
-        ep_mul_into(self._integrands.setdefault(word, {}), left, self._embed(1, wg, gg), c)
+        """Add c * embed(ff) * embed(gg) to the integrand of ``word``."""
+        ep_mul_into(self._integrands.setdefault(word, {}), self._embed(0, wf, ff),
+                    self._embed(1, wg, gg), c)
 
     def integrals(self):
-        """(word, integral) for each output word's integrand, in first-seen order."""
+        """(word, kernel integral) for each output word's integrand, in first-seen order."""
         if not self._integrands:
             return
-        D, _, _, x_inv = self._space
+        D, _, kernel = self._space
         for word, keys in self._integrands.items():
             yield word, ep_integrate_partial(ep_from_keys(D, keys), range(self.m, D),
-                                             kernel_inv=x_inv)
+                                             kernel=kernel)
 
 
 def _clifford_pair(u: int, v: int, c: dict[int, complex]) -> tuple[int, complex]:

@@ -265,42 +265,30 @@ def sintegrate(f: Superfunction):
     return elem
 
 
-def substitute(f: Superfunction, *, new_n: int | None = None, new_naux: int | None = None,
-               even_M=None, even_v=None, new_m: int | None = None,
-               odd_images: Sequence[GrassmannElement] | None = None) -> Superfunction:
-    """General pullback: even affine substitution x -> M x' + v together with
+def substitute(f: Superfunction, odd_images: Sequence[GrassmannElement], new_n: int,
+               even_M=None) -> Superfunction:
+    """General pullback: even linear substitution x -> M x' together with
     odd substitution of every flat generator by a constant-coefficient element
     of the target Grassmann algebra.
 
     ``odd_images[k]`` (one per source flat generator, ambient then auxiliary)
-    is a GrassmannElement on new_n + new_naux generators with complex
-    coefficients.  Products of images are taken left-to-right in the source
-    word order, which is exactly how the source monomial was written.
+    is a GrassmannElement with complex coefficients on the target algebra:
+    new_n ambient generators, then auxiliary ones, as many as the images'
+    width leaves.  ``even_M`` is an (f.m, k) array, so x' lives on R^k;
+    without it the even arguments are kept.  Products of images are taken
+    left-to-right in the source word order, which is exactly how the source
+    monomial was written.
     """
-    m = f.m if new_m is None else new_m
-    n = f.n if new_n is None else new_n
-    naux = f.naux if new_naux is None else new_naux
-    width = n + naux
-
-    if odd_images is None:
-        if new_n is not None or new_naux is not None:
-            raise ValueError("changing the odd layout requires odd_images")
-        odd_images = [GrassmannElement.monomial(width, 1 << k)
-                      for k in range(f.n + f.naux)]
     if len(odd_images) != f.n + f.naux:
         raise ValueError("need one odd image per source generator")
-    for img in odd_images:
-        if img.n != width:
-            raise DimensionError("odd image lives on the wrong target algebra")
-
+    width = odd_images[0].n if odd_images else new_n
+    if width < new_n or any(img.n != width for img in odd_images):
+        raise DimensionError("odd image lives on the wrong target algebra")
+    m = f.m if even_M is None else np.shape(even_M)[1]
     out: dict[int, dict] = {}
     for word, fn in f.terms.items():
-        if even_M is not None or even_v is not None:
-            M = np.eye(f.m) if even_M is None else even_M
-            v = np.zeros(f.m) if even_v is None else even_v
-            fn = fn.affine(M, v, m)
-        elif m != f.m:
-            raise DimensionError("even dimension change requires even_M")
+        if even_M is not None:
+            fn = fn.affine(even_M, np.zeros(f.m))
         acc = GrassmannElement.one(width)
         w = word
         while w and acc:
@@ -311,7 +299,7 @@ def substitute(f: Superfunction, *, new_n: int | None = None, new_naux: int | No
             continue
         for new_word, coeff in acc.coeffs.items():
             ep_add_into(out.setdefault(new_word, {}), fn, coeff)
-    return Superfunction.from_keys(m, n, out, naux)
+    return Superfunction.from_keys(m, new_n, out, width - new_n)
 
 
 def grassmann_translate(f: Superfunction, eta: Sequence[GrassmannElement | None]) -> Superfunction:
@@ -341,7 +329,7 @@ def grassmann_translate(f: Superfunction, eta: Sequence[GrassmannElement | None]
         images.append(img)
     for k in range(f.naux):
         images.append(GrassmannElement.monomial(width, 1 << (f.n + k)))
-    return substitute(f, new_n=f.n, new_naux=naux, odd_images=images)
+    return substitute(f, images, f.n)
 
 
 # ---------------------------------------------------------------------------

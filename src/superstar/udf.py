@@ -98,8 +98,7 @@ class ActionSpec:
                   for k in range(n)]
         images += [GrassmannElement.monomial(width, 1 << (2 * n + k))
                    for k in range(a.naux)]
-        return substitute(a, new_m=2 * d, even_M=M, even_v=np.zeros(d),
-                          new_n=2 * n, new_naux=a.naux, odd_images=images)
+        return substitute(a, images, 2 * n, M)
 
     # -- sampling in the term class --------------------------------------------
     def sample(self, rng, count: int) -> list[Superfunction]:
@@ -187,8 +186,7 @@ def _eval_group_origin(f: Superfunction, ctx: DeformationContext) -> Superfuncti
     images += [GrassmannElement.zero(width) for _ in range(n)]
     images += [GrassmannElement.monomial(width, 1 << (n + k))
                for k in range(f.naux)]
-    return substitute(f, new_m=d, even_M=M, even_v=np.zeros(2 * d),
-                      new_n=n, new_naux=f.naux, odd_images=images)
+    return substitute(f, images, n, M)
 
 
 def udf_product(spec: ActionSpec, a: Superfunction, b: Superfunction) -> Superfunction:

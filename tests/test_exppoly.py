@@ -368,7 +368,7 @@ def test_affine_substitution_pointwise():
     f = random_integrable(rng, 2, nterms=2)
     M = rng.normal(size=(2, 3))
     v = rng.normal(size=2)
-    g = f.affine(M, v, 3)
+    g = f.affine(M, v)
     pts = rng.normal(size=(20, 3))
     assert np.max(np.abs(g.eval(pts) - f.eval(pts @ M.T + v))) < 1e-10
 

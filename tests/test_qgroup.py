@@ -196,8 +196,7 @@ def test_coproduct_is_an_algebra_homomorphism():
         images = [GrassmannElement.monomial(2 * n, 1 << k)
                   + GrassmannElement.monomial(2 * n, 1 << (n + k))
                   for k in range(n)]
-        lhs = substitute(fg.at(t1 + t2), new_m=2 * d, even_M=M,
-                         even_v=np.zeros(d), new_n=2 * n, odd_images=images)
+        lhs = substitute(fg.at(t1 + t2), images, 2 * n, M)
         blocks = [(tuple(range(d)), t1), (tuple(range(d, 2 * d)), t2)]
         gens = ([(k + 1, e, t1) for k, e in enumerate(QCTX.eta)]
                 + [(n + k + 1, e, t2) for k, e in enumerate(QCTX.eta)])
@@ -214,8 +213,7 @@ def _restrict_leg(sl, keep, qctx):
     gens = [GrassmannElement.monomial(n, 1 << k) for k in range(n)]
     images = gens if keep == 0 else [zero] * n
     images = images + (gens if keep == 1 else [zero] * n)
-    return substitute(sl, new_m=d, even_M=M, even_v=np.zeros(2 * d),
-                      new_n=n, odd_images=images)
+    return substitute(sl, images, n, M)
 
 
 def test_counit_laws():
@@ -262,8 +260,7 @@ def test_antipode_inverts_the_composition():
         M[d:, :] = np.eye(d)
         images = ([GrassmannElement.monomial(n, 1 << k, -1.0) for k in range(n)]
                   + [GrassmannElement.monomial(n, 1 << k) for k in range(n)])
-        merged = substitute(sl, new_m=d, even_M=M, even_v=np.zeros(2 * d),
-                            new_n=n, odd_images=images)
+        merged = substitute(sl, images, n, M)
         expected = Superfunction.one(d, n).scale(counit(f))
         assert sf_max_dev(merged, expected) <= 1e-12
 

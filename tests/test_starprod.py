@@ -610,13 +610,17 @@ def test_gaussian_kernel_path_matches_generic_integration():
     for ctx in (DeformationContext(0.7, 1, 0), DeformationContext(-1.3, 2, 0)):
         d = 2 * ctx.m
         even = starprod._EvenProduct(d, ctx.even_blocks())
-        D, _, K, x_inv = even._space
+        D, _, kernel = even._space
+        A = np.zeros((D, D), dtype=complex)  # the bare kernel, for the generic path
+        A[d:2 * d, 2 * d:] = kernel[0]
+        A[2 * d:, d:2 * d] = kernel[0].T
+        K = ExpPolyFunction.gaussian(D, A)
         for _ in range(3):
             f = random_integrable_factor(rng, ctx).terms[0]
             g = random_integrable_factor(rng, ctx).terms[0]
-            integrand = (even._embed(0, 0, f) * even._embed(1, 0, g)) * K
-            got = exppoly.ep_integrate_partial(integrand, range(d, D), kernel_inv=x_inv)
-            want = exppoly.ep_integrate_partial(integrand, range(d, D)).scale(
+            integrand = even._embed(0, 0, f) * even._embed(1, 0, g)
+            got = exppoly.ep_integrate_partial(integrand, range(d, D), kernel=kernel)
+            want = exppoly.ep_integrate_partial(integrand * K, range(d, D)).scale(
                 1.0 / (np.pi * ctx.theta) ** d)
             top = max(abs(t.c) for t in want.terms)
             assert ep_max_dev(got, want) <= 1e-12 * top
@@ -681,7 +685,7 @@ def test_associativity_catches_dropped_schur_block(monkeypatch):
 def _pair_by_pair(ctx, f, g):
     """f * g with one kernel integral per word pair, summed per output word."""
     even = starprod._EvenProduct(f.m, ctx.even_blocks())
-    D, _, K, x_inv = even._space
+    D, _, kernel = even._space
     clifford = {1 << (a - 1): 1j * th * e / 2 for a, e, th in ctx.odd_gens()}
     out, pairs = {}, {}
     for wf, ff in f.terms.items():
@@ -692,8 +696,8 @@ def _pair_by_pair(ctx, f, g):
             if even.pointwise(ff, gg):
                 piece = ff * gg
             else:
-                integrand = (even._embed(0, wf, ff) * even._embed(1, wg, gg)) * K
-                piece = exppoly.ep_integrate_partial(integrand, range(f.m, D), kernel_inv=x_inv)
+                integrand = even._embed(0, wf, ff) * even._embed(1, wg, gg)
+                piece = exppoly.ep_integrate_partial(integrand, range(f.m, D), kernel=kernel)
                 pairs[word] = pairs.get(word, 0) + 1
             out[word] = out[word] + piece.scale(c) if word in out else piece.scale(c)
     return out, pairs

@@ -191,7 +191,9 @@ def test_berezin_invariant_under_odd_shifts():
 def test_substitute_identity():
     rng = np.random.default_rng(RNG_SEED + 6)
     f = random_superfunction(rng, 2, 2, naux=1)
-    assert substitute(f) == f
+    images = [GrassmannElement.monomial(3, 1 << k) for k in range(3)]
+    assert substitute(f, images, 2) == f
+    assert substitute(f, images, 2, np.eye(2)) == f
 
 
 # ---------------------------------------------------------------------------
