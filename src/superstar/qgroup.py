@@ -42,11 +42,11 @@ import numpy as np
 from .errors import ClassError, DimensionError, SingularityError
 from .exppoly import ExpPolyFunction, ep_from_keys
 from .grassmann import GrassmannElement
+from .hilbert import inner_l2
 from .starprod import DeformationContext, star, star_general
 from .superfun import (
     Superfunction,
     sf_max_dev,
-    sintegrate,
     smul,
     substitute,
 )
@@ -359,10 +359,6 @@ def w_apply(qctx: QGroupContext, F, i: int, j: int) -> Deferred:
 # verification
 
 
-def _z_pairing(a: Superfunction, b: Superfunction) -> complex:
-    return complex(sintegrate(smul(a.conj(), b)))
-
-
 def _sample_elements(qctx: QGroupContext, rng, count: int,
                      z_kind: str = "pw") -> list[QGroupElement]:
     d, n = qctx.d, qctx.n
@@ -448,11 +444,11 @@ def pentagon_check(qctx: QGroupContext, t_samples: int = 5, seed: int = 0,
         for _ in range(3):
             t1 = float(rng.uniform(0.4, 1.2) * rng.choice([-1.0, 1.0]))
             t2 = float(rng.uniform(0.4, 1.2) * rng.choice([-1.0, 1.0]))
-            lhs_val = _z_pairing(WF.at(t1, t2), WG.at(t1, t2))
+            lhs_val = complex(inner_l2(WF.at(t1, t2), WG.at(t1, t2)))
             # the t1-integral absorbs the coproduct shift, so compare against
             # the shifted slice; pi_t has unit Berezinian, so the change of
             # variables on leg 1 carries no modular factor
-            rhs_val = _z_pairing(F.at(t1 + t2, t2), G.at(t1 + t2, t2))
+            rhs_val = complex(inner_l2(F.at(t1 + t2, t2), G.at(t1 + t2, t2)))
             scale = max(1.0, abs(rhs_val))
             devs.append(abs(lhs_val - rhs_val) / scale)
         report["superunitarity"] = {

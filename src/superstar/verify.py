@@ -304,6 +304,14 @@ def _graded_gram(rng: np.random.Generator, parities: tuple[int, ...]) -> np.ndar
             return G
 
 
+def _backward_error(A: np.ndarray, B: np.ndarray, G: np.ndarray) -> float:
+    """max|A - B| / (max(max|A|, max|B|) * cond(G)) for two matrices computed
+    through G^{-1}: the deviation in units of what rounding through G^{-1}
+    leaves; 0 when both are zero."""
+    dev = float(np.max(np.abs(A - B)))
+    return dev and dev / (max(np.max(np.abs(A)), np.max(np.abs(B))) * np.linalg.cond(G))
+
+
 def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
     """Hilbert-superspace battery.
 
@@ -313,7 +321,10 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
       monomials and preserves the indefinite pairing (odd ranks up to 4),
     * superadjoints of graded operators: defining relation, involution,
       conjugate transpose in an orthonormal graded basis, graded product
-      reversal.
+      reversal.  Involution and product reversal compare matrices that each
+      went through G^{-1} more than once, so they are scored by their
+      backward error (:func:`_backward_error`): a sampled gram matrix with
+      large entries does not read as a wrong superadjoint.
     """
     t = 1e-10 if tol is None else float(tol)
 
@@ -378,7 +389,7 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
         T = _rand_graded_operator(rng, parities, deg)
         G = _graded_gram(rng, parities)
         Tdd = superadjoint(superadjoint(T, G), G)
-        worst = max(worst, float(np.max(np.abs(Tdd.matrix - T.matrix))))
+        worst = max(worst, _backward_error(Tdd.matrix, T.matrix, G))
     involution = _check("superadjoint-involution", 20, worst, t)
 
     rng = _rng(seed, 43)
@@ -399,7 +410,7 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
         G = _graded_gram(rng, parities)
         lhs = superadjoint(S.compose(T), G)
         rhs = superadjoint(T, G).compose(superadjoint(S, G)).scale((-1) ** (dS * dT))
-        worst = max(worst, float(np.max(np.abs(lhs.matrix - rhs.matrix))))
+        worst = max(worst, _backward_error(lhs.matrix, rhs.matrix, G))
     product_law = _check("superadjoint-graded-product-reversal", 15, worst,
                          max(t, 1e-9))
 

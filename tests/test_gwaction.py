@@ -1,6 +1,11 @@
 """Superfield action on the deformed plane with one odd direction: graded
 derivations, both action functionals, and the coefficient-map comparison."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -368,3 +373,17 @@ def test_default_grid_and_fields_shape():
     assert any(p.field_ratio == 0.0 for p in grid)
     assert any(p.field_ratio != 0.0 for p in grid)
     assert len(default_fields()) >= 3
+
+
+def test_calibration_sweep_script_runs_and_refutes_the_target_map():
+    # scripts/explore_gw_calibration.py is the README's evidence that no
+    # reading reproduces the target map; --quick sweeps a reduced grid
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                       env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, str(root / "scripts" / "explore_gw_calibration.py"),
+                          "--quick"], cwd=root, env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "conclusion: the derived coefficient map is reproduced" in run.stdout

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from superstar import exppoly, starprod, superfun
 from superstar.errors import ClassError, DimensionError, DivergenceError, ParityError
 from superstar.exppoly import ExpPolyFunction, ep_max_dev
+from superstar.grassmann import GrassmannElement, eps
 from superstar.sampling import (
     random_even,
     random_integrable_factor,
@@ -217,6 +218,61 @@ def test_oracle_exhaustive_odd_monomials():
                 assert sf_max_dev(star(ctx, f, g), star_oracle(ctx, f, g)) < 1e-14
 
 
+def _berezin_tables(n, naux, gens):
+    """The expansion of :func:`_odd_star_pair`, with the kernel and each
+    word's images built once: returns pair(u, v) -> {output word: c}.
+
+    Layout [ambient | copies xi1 | copies xi2 | aux] as in the oracle.  The
+    copies xi2 come only from v's image, so a term of kernel ^ image(u) that
+    lacks a xi1 copy cannot reach the Berezin top form and is left out; the
+    kept products are the oracle's, summed in its order.
+    """
+    act = [a - 1 for a, _, _ in gens]
+    n_act = len(act)
+    width = n + 2 * n_act + naux
+    pos = ({a: n + i for i, a in enumerate(act)},
+           {a: n + n_act + i for i, a in enumerate(act)})
+
+    def image(word, side):
+        acc = GrassmannElement.one(width)
+        for k in range(n + naux):
+            if word >> k & 1:
+                if k >= n:
+                    img = GrassmannElement.monomial(width, 1 << (k + 2 * n_act))
+                elif k in pos[side]:
+                    img = (GrassmannElement.monomial(width, 1 << k)
+                           + GrassmannElement.monomial(width, 1 << pos[side][k]))
+                else:
+                    img = GrassmannElement.monomial(width, 1 << k)
+                acc = acc.wedge(img)
+        return acc
+
+    kern = GrassmannElement.one(width)
+    for a1, e, th in gens:
+        pair = (1 << pos[0][a1 - 1]) | (1 << pos[1][a1 - 1])
+        kern = kern.wedge(GrassmannElement(width, {0: 1.0, pair: -2j * e / th}))
+    copies1 = sum(1 << b for b in pos[0].values())
+    top = copies1 | sum(1 << b for b in pos[1].values())
+    words = range(1 << (n + naux))
+    left = []
+    for u in words:
+        full = kern.wedge(image(u, 0))
+        left.append(GrassmannElement(width, {W: c for W, c in full.coeffs.items()
+                                             if W & copies1 == copies1}))
+    right = [image(v, 1) for v in words]
+
+    def pair(u, v):
+        out = {}
+        for W, c in left[u].wedge(right[v]).coeffs.items():
+            if W & top == top:
+                kept = W & ~top
+                word = (kept & ((1 << n) - 1)) | (kept >> (n + 2 * n_act)) << n
+                out[word] = out.get(word, 0j) + eps(kept, top) * c
+        return out
+
+    return pair
+
+
 def test_clifford_rule_against_berezin_expansion_exhaustive():
     # every word pair, ambient then aux bits, for n <= 5 in every signature;
     # even p: all generators active with one theta, odd p: generator 1
@@ -236,13 +292,17 @@ def test_clifford_rule_against_berezin_expansion_exhaustive():
             for _, _, th in gens:
                 scale *= th
             scale /= closed_unit_norm([e for _, e, _ in gens])
+            berezin = _berezin_tables(n, naux, gens)
+            # the tables are the oracle's expansion, to the last bit
+            for u, v in ((width - 1, width - 1), (width - 1, 0), (0, width - 1),
+                         (width // 2 + 1, width - 2)):
+                assert berezin(u, v) == _odd_star_pair(u, v, n, naux, gens)
             monos = [Superfunction(0, n, {w: ExpPolyFunction.one(0)}, naux)
                      for w in range(width)]
             for u in range(width):
                 for v in range(width):
                     got = star_general(monos[u], monos[v], (), gens)
-                    want = {w: c * scale for w, c in
-                            _odd_star_pair(u, v, n, naux, gens).items()}
+                    want = {w: c * scale for w, c in berezin(u, v).items()}
                     assert set(got.terms) == set(want), (n, p, u, v)
                     for w, c in want.items():
                         (t,) = got.terms[w].terms

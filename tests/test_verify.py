@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from superstar import verify
+from superstar.hilbert import GradedOperator
 from superstar.verify import SUITE_NAMES, run_all, run_suite
 
 
@@ -93,3 +95,36 @@ def test_run_all_merges_sorted_and_reflects_failures(monkeypatch):
     via_name = run_suite("eps", n=2)
     direct = run_all.__globals__["verify_eps"](n=2, tol=None, seed=0)
     assert via_name == direct
+
+
+@pytest.mark.parametrize("seed", [35, 38, 43])
+def test_hilbert_passes_where_entries_are_large_and_gram_well_conditioned(seed):
+    # cond(G) up to ~1e5 and entries up to ~1e5: the absolute entry deviation
+    # of the superadjoint laws exceeded its bound by rounding through G^{-1}
+    rep = run_suite("hilbert", seed=seed)
+    assert rep["passed"], [c for c in rep["checks"] if not c["passed"]]
+
+
+def _superadjoint_flipping(flip):
+    """superadjoint as in hilbert, with the sign of D's last entry flipped."""
+
+    def adjoint(T, gram):
+        G = np.asarray(gram, dtype=complex)
+        D = np.diag([(-1.0) ** (T.degree * p) for p in T.parities])
+        if flip:
+            D[-1, -1] *= -1
+        M = D @ G @ T.matrix @ np.linalg.inv(G)
+        return GradedOperator(M.conj().T, T.parities, T.degree)
+
+    return adjoint
+
+
+@pytest.mark.parametrize("check", ["superadjoint-involution",
+                                   "superadjoint-graded-product-reversal"])
+def test_superadjoint_backward_error_catches_one_flipped_sign(monkeypatch, check):
+    verdicts = []
+    for flip in (False, True):
+        monkeypatch.setattr(verify, "superadjoint", _superadjoint_flipping(flip))
+        (rec,) = [c for c in run_suite("hilbert", seed=0)["checks"] if c["check"] == check]
+        verdicts.append(rec["passed"])
+    assert verdicts == [True, False]
