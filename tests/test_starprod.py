@@ -218,9 +218,9 @@ def test_oracle_exhaustive_odd_monomials():
                 assert sf_max_dev(star(ctx, f, g), star_oracle(ctx, f, g)) < 1e-14
 
 
-def _berezin_tables(n, naux, gens):
+def _berezin_expansion(n, naux, gens):
     """The expansion of :func:`_odd_star_pair`, with the kernel and each
-    word's images built once: returns pair(u, v) -> {output word: c}.
+    word's images built once: returns a function (u, v) -> {output word: c}.
 
     Layout [ambient | copies xi1 | copies xi2 | aux] as in the oracle.  The
     copies xi2 come only from v's image, so a term of kernel ^ image(u) that
@@ -249,8 +249,8 @@ def _berezin_tables(n, naux, gens):
 
     kern = GrassmannElement.one(width)
     for a1, e, th in gens:
-        pair = (1 << pos[0][a1 - 1]) | (1 << pos[1][a1 - 1])
-        kern = kern.wedge(GrassmannElement(width, {0: 1.0, pair: -2j * e / th}))
+        bits = (1 << pos[0][a1 - 1]) | (1 << pos[1][a1 - 1])
+        kern = kern.wedge(GrassmannElement(width, {0: 1.0, bits: -2j * e / th}))
     copies1 = sum(1 << b for b in pos[0].values())
     top = copies1 | sum(1 << b for b in pos[1].values())
     words = range(1 << (n + naux))
@@ -292,8 +292,8 @@ def test_clifford_rule_against_berezin_expansion_exhaustive():
             for _, _, th in gens:
                 scale *= th
             scale /= closed_unit_norm([e for _, e, _ in gens])
-            berezin = _berezin_tables(n, naux, gens)
-            # the tables are the oracle's expansion, to the last bit
+            berezin = _berezin_expansion(n, naux, gens)
+            # the expansion is the oracle's, to the last bit
             for u, v in ((width - 1, width - 1), (width - 1, 0), (0, width - 1),
                          (width // 2 + 1, width - 2)):
                 assert berezin(u, v) == _odd_star_pair(u, v, n, naux, gens)
