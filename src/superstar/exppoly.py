@@ -709,10 +709,10 @@ def ep_integrate(f: ExpPolyFunction) -> complex:
 # equality
 
 
-def sample_grid(d: int, npts: int = 64, span: float = 1.5) -> np.ndarray:
-    """Deterministic comparison grid (fixed per dimension)."""
+def sample_grid(d: int) -> np.ndarray:
+    """Deterministic comparison grid: 64 points in [-1.5, 1.5]^d, fixed per dimension."""
     rng = np.random.default_rng(12345 + d)
-    return rng.uniform(-span, span, size=(npts, d))
+    return rng.uniform(-1.5, 1.5, size=(64, d))
 
 
 def ep_equal(f: ExpPolyFunction, g: ExpPolyFunction, tol: float = 1e-10) -> bool:

@@ -297,14 +297,15 @@ def action_gw(theta: float, phi: ExpPolyFunction, params: GWParams, *,
 # verification
 
 
-def calibration_identities(theta: float, phi: ExpPolyFunction,
-                           harmonic_sq: float = 0.37) -> dict:
+def calibration_identities(theta: float, phi: ExpPolyFunction) -> dict:
     """The commutator/anticommutator reformulation on the plain plane:
 
         (1/2) sum_mu |[a x_mu, phi]|^2       = (1/2) (grad phi)^2 -> kinetic
         (w/2)  sum_mu |{a x_mu, phi}|^2      = (2w/theta^2) x^2 phi^2
 
-    with a = alpha i/2 under the calibrated alpha; returns both deviations."""
+    with a = alpha i/2 under the calibrated alpha and w = 0.37, a generic
+    weight; returns both deviations."""
+    harmonic_sq = 0.37
     _check_integrable(phi)
     ctx0 = even_context(theta)
     alpha = calibration_scale(theta)

@@ -249,12 +249,12 @@ class GradedOperator:
         return self + other.scale(-1.0)
 
 
-def _check_superhermitian(G: np.ndarray, parities, tol: float = 1e-10) -> None:
+def _check_superhermitian(G: np.ndarray, parities) -> None:
     scale = max(1.0, float(np.max(np.abs(G))))
     for i, pi in enumerate(parities):
         for j, pj in enumerate(parities):
             want = (-1) ** (pi * pj) * G[j, i]
-            if abs(np.conj(G[i, j]) - want) > tol * scale:
+            if abs(np.conj(G[i, j]) - want) > 1e-10 * scale:
                 raise ValueError("gram matrix is not superhermitian")
 
 

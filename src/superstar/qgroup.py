@@ -395,10 +395,10 @@ def _t_triple(rng) -> tuple[float, float, float]:
 
 
 def pentagon_check(qctx: QGroupContext, t_samples: int = 5, seed: int = 0,
-                   tol: float = 1e-8, unitarity: bool = True) -> dict:
+                   tol: float = 1e-8) -> dict:
     """Verify W12 W13 W23 = W23 W12 on sampled plane-wave legs and t-triples.
 
-    Also checks the exactness of the all-constant case and, optionally, the
+    Also checks the exactness of the all-constant case and the
     superunitarity of W with respect to the graded L^2(G' x G') pairing
     (pointwise in t after the measure-preserving shift t1 -> t1 + t2).
     Raises ValueError for ``t_samples < 1``, which would pass on nothing."""
@@ -433,29 +433,28 @@ def pentagon_check(qctx: QGroupContext, t_samples: int = 5, seed: int = 0,
     report["max_deviation"] = float(worst)
     report["passed"] = bool(worst <= tol and dev_const <= tol)
 
-    if unitarity:
-        f1, f2 = _sample_elements(qctx, rng, 2, z_kind="gaussian")
-        g1, g2 = _sample_elements(qctx, rng, 2, z_kind="gaussian")
-        F = tensor(qctx, [f1, f2])
-        G = tensor(qctx, [g1, g2])
-        WF = w_apply(qctx, F, 0, 1)
-        WG = w_apply(qctx, G, 0, 1)
-        devs = []
-        for _ in range(3):
-            t1 = float(rng.uniform(0.4, 1.2) * rng.choice([-1.0, 1.0]))
-            t2 = float(rng.uniform(0.4, 1.2) * rng.choice([-1.0, 1.0]))
-            lhs_val = complex(inner_l2(WF.at(t1, t2), WG.at(t1, t2)))
-            # the t1-integral absorbs the coproduct shift, so compare against
-            # the shifted slice; pi_t has unit Berezinian, so the change of
-            # variables on leg 1 carries no modular factor
-            rhs_val = complex(inner_l2(F.at(t1 + t2, t2), G.at(t1 + t2, t2)))
-            scale = max(1.0, abs(rhs_val))
-            devs.append(abs(lhs_val - rhs_val) / scale)
-        report["superunitarity"] = {
-            "deviation": float(max(devs)),
-            "modular_weight": 0.0,
-            "passed": bool(max(devs) <= max(tol, 1e-8)),
-        }
-        report["passed"] = bool(report["passed"]
-                                and report["superunitarity"]["passed"])
+    f1, f2 = _sample_elements(qctx, rng, 2, z_kind="gaussian")
+    g1, g2 = _sample_elements(qctx, rng, 2, z_kind="gaussian")
+    F = tensor(qctx, [f1, f2])
+    G = tensor(qctx, [g1, g2])
+    WF = w_apply(qctx, F, 0, 1)
+    WG = w_apply(qctx, G, 0, 1)
+    devs = []
+    for _ in range(3):
+        t1 = float(rng.uniform(0.4, 1.2) * rng.choice([-1.0, 1.0]))
+        t2 = float(rng.uniform(0.4, 1.2) * rng.choice([-1.0, 1.0]))
+        lhs_val = complex(inner_l2(WF.at(t1, t2), WG.at(t1, t2)))
+        # the t1-integral absorbs the coproduct shift, so compare against
+        # the shifted slice; pi_t has unit Berezinian, so the change of
+        # variables on leg 1 carries no modular factor
+        rhs_val = complex(inner_l2(F.at(t1 + t2, t2), G.at(t1 + t2, t2)))
+        scale = max(1.0, abs(rhs_val))
+        devs.append(abs(lhs_val - rhs_val) / scale)
+    report["superunitarity"] = {
+        "deviation": float(max(devs)),
+        "modular_weight": 0.0,
+        "passed": bool(max(devs) <= max(tol, 1e-8)),
+    }
+    report["passed"] = bool(report["passed"]
+                            and report["superunitarity"]["passed"])
     return report

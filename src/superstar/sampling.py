@@ -54,20 +54,18 @@ def random_gaussian_even(rng: np.random.Generator, d: int) -> ExpPolyFunction:
     return ExpPolyFunction.monomial(d, alpha, c) * ExpPolyFunction.gaussian(d, A, b)
 
 
-def random_plane_wave_even(rng: np.random.Generator, d: int,
-                           nwaves: int = 1) -> ExpPolyFunction:
-    out = ExpPolyFunction.zero(d)
-    for _ in range(nwaves):
-        k = rng.uniform(-2.0, 2.0, size=d)
-        c = complex(rng.normal(), rng.normal())
-        out = out + ExpPolyFunction.plane_wave(d, k, c)
-    return out
+def random_plane_wave_even(rng: np.random.Generator, d: int) -> ExpPolyFunction:
+    """One plane wave c e^{i k.x} with k uniform in [-2, 2]^d."""
+    k = rng.uniform(-2.0, 2.0, size=d)
+    c = complex(rng.normal(), rng.normal())
+    return ExpPolyFunction.plane_wave(d, k, c)
 
 
-def random_poly_even(rng: np.random.Generator, d: int, max_deg: int = 2) -> ExpPolyFunction:
+def random_poly_even(rng: np.random.Generator, d: int) -> ExpPolyFunction:
+    """One or two monomials of total degree at most 2."""
     out = ExpPolyFunction.zero(d)
     for _ in range(int(rng.integers(1, 3))):
-        alpha = _random_alpha(rng, d, max_deg)
+        alpha = _random_alpha(rng, d, 2)
         c = complex(rng.normal(), rng.normal())
         out = out + ExpPolyFunction.monomial(d, alpha, c)
     return out
@@ -90,11 +88,10 @@ def random_isotropic_gaussian(rng: np.random.Generator, m: int = 1) -> ExpPolyFu
     return ExpPolyFunction.gaussian(m, A, b, complex(rng.normal(), rng.normal()))
 
 
-def random_gaussian_superfunction(rng: np.random.Generator, m: int, n: int,
-                                  words: int = 2) -> Superfunction:
-    """Sum of ``words`` isotropic Gaussians on random odd words of R^{m|n}."""
+def random_gaussian_superfunction(rng: np.random.Generator, m: int, n: int) -> Superfunction:
+    """Sum of two isotropic Gaussians on random odd words of R^{m|n}."""
     terms: dict[int, ExpPolyFunction] = {}
-    for _ in range(words):
+    for _ in range(2):
         w = int(rng.integers(0, 1 << n))
         fn = random_isotropic_gaussian(rng, m)
         terms[w] = terms[w] + fn if w in terms else fn
@@ -102,14 +99,13 @@ def random_gaussian_superfunction(rng: np.random.Generator, m: int, n: int,
 
 
 def random_star_factor(rng: np.random.Generator, ctx: DeformationContext,
-                       kinds=("gaussian", "pw", "poly"), naux: int = 0,
-                       max_words: int = 2) -> Superfunction:
-    """Random factor mixing the even classes with odd monomials."""
+                       kinds=("gaussian", "pw", "poly"), naux: int = 0) -> Superfunction:
+    """Random factor mixing the even classes with odd monomials, on one or two words."""
     d = 2 * ctx.m
     width = ctx.n + naux
     terms = {}
     kind_of: dict[int, str] = {}
-    for _ in range(int(rng.integers(1, max_words + 1))):
+    for _ in range(int(rng.integers(1, 3))):
         word = int(rng.integers(0, 1 << width)) if width else 0
         # keep each coefficient in a single class so the series oracle accepts it
         kind = kind_of.setdefault(word, kinds[int(rng.integers(0, len(kinds)))])

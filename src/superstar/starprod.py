@@ -171,93 +171,46 @@ def _is_constant(f: ExpPolyFunction) -> bool:
                for (A_ut, b), poly in f.keys.items() for alpha in poly)
 
 
-class _EvenProduct:
-    """Even-sector kernel integrals of one :func:`star_general` call.
+def _kernel_space(m: int, even_blocks: Sequence[EvenBlock]):
+    """The doubled space of the even-sector kernel integral: (D, (M1, M2), (X, X^{-1})).
 
-    Doubled space: [original m coords | copies z1 | copies z2]; spectator
-    coordinates (not in any block) are shared by both factors.  The space,
-    its embedding maps and the kernel coupling X with its exact inverse
-    X^{-1} (block diagonal, (-i/theta) Omega and -i theta Omega per block)
-    are built at the first pair that needs them, and each side embeds a
-    word's coefficient once per call, keyed by the word.
-
-    Each word pair adds c * embed(f_I) * embed(g_J) to one integrand per
-    output word in one :func:`~superstar.exppoly.ep_mul_into` call
-    (:meth:`add`).  :meth:`integrals` then integrates each output word once
-    against the kernel; by linearity this is the sum of the per-pair
-    integrals.  :func:`ep_integrate_partial` multiplies by the normalized
-    kernel from (X, X^{-1}), so the result is normalized by construction;
-    with a polynomial or plane-wave factor the normalization is exactly 1
-    and no eigenvalues are computed.
+    Its coordinates are [original m coords | copies z1 | copies z2]; M1 and
+    M2 embed the two factors, and spectator coordinates (not in any block)
+    are shared by both.  The kernel coupling X and its exact inverse X^{-1}
+    are block diagonal, (-i/theta) Omega and -i theta Omega per block.
     """
-
-    def __init__(self, m: int, even_blocks: Sequence[EvenBlock]):
-        self.m = m
-        self.even_blocks = even_blocks
-        self.act = [c for coords, _ in even_blocks for c in coords]
-        self._embedded: tuple[dict, dict] = ({}, {})
-        self._integrands: dict[int, dict] = {}
-
-    def pointwise(self, ff: ExpPolyFunction, gg: ExpPolyFunction) -> bool:
-        """True when the pair's product is pointwise: no active block, or a
-        constant factor, every derivative of which vanishes."""
-        return not self.act or _is_constant(ff) or _is_constant(gg)
-
-    @cached_property
-    def _space(self):
-        m, act = self.m, self.act
-        k_act = len(act)
-        D = m + 2 * k_act
-        M1 = np.zeros((m, D))
-        M2 = np.zeros((m, D))
-        M1[:, :m] = np.eye(m)
-        M2[:, :m] = np.eye(m)
-        for j, c in enumerate(act):
-            M1[c, m + j] = 1.0
-            M2[c, m + k_act + j] = 1.0
-        X = np.zeros((k_act, k_act), dtype=complex)
-        x_inv = np.zeros((k_act, k_act), dtype=complex)
-        pref = 1.0  # only checked: ep_integrate_partial divides by 1/pref itself
-        off = 0
-        for coords, th in self.even_blocks:
-            k2 = len(coords)
-            k = k2 // 2
-            Om = np.zeros((k2, k2))
-            Om[:k, k:] = np.eye(k)
-            Om[k:, :k] = -np.eye(k)
-            X[off:off + k2, off:off + k2] = (-1j / th) * Om  # z1^T (2X) z2 in the exponent
-            x_inv[off:off + k2, off:off + k2] = (-1j * th) * Om
-            try:
-                pref *= 1.0 / (pi ** k2 * th ** k2)
-            except (OverflowError, ZeroDivisionError):
-                pref = 0.0
-            if not (isfinite(pref) and pref != 0):
-                raise ParameterRangeError(
-                    f"theta={th!r}: the kernel prefactor 1/(pi theta)^{k2} is not "
-                    "a finite nonzero float")
-            off += k2
-        return D, (M1, M2), (X, x_inv)
-
-    def _embed(self, side: int, word: int, fn: ExpPolyFunction) -> ExpPolyFunction:
-        memo = self._embedded[side]
-        if word not in memo:
-            memo[word] = fn.affine(self._space[1][side], np.zeros(self.m))
-        return memo[word]
-
-    def add(self, word: int, c: complex, wf: int, ff: ExpPolyFunction,
-            wg: int, gg: ExpPolyFunction) -> None:
-        """Add c * embed(ff) * embed(gg) to the integrand of ``word``."""
-        ep_mul_into(self._integrands.setdefault(word, {}), self._embed(0, wf, ff),
-                    self._embed(1, wg, gg), c)
-
-    def integrals(self):
-        """(word, kernel integral) for each output word's integrand, in first-seen order."""
-        if not self._integrands:
-            return
-        D, _, kernel = self._space
-        for word, keys in self._integrands.items():
-            yield word, ep_integrate_partial(ep_from_keys(D, keys), range(self.m, D),
-                                             kernel=kernel)
+    act = [c for coords, _ in even_blocks for c in coords]
+    k_act = len(act)
+    D = m + 2 * k_act
+    M1 = np.zeros((m, D))
+    M2 = np.zeros((m, D))
+    M1[:, :m] = np.eye(m)
+    M2[:, :m] = np.eye(m)
+    for j, c in enumerate(act):
+        M1[c, m + j] = 1.0
+        M2[c, m + k_act + j] = 1.0
+    X = np.zeros((k_act, k_act), dtype=complex)
+    x_inv = np.zeros((k_act, k_act), dtype=complex)
+    pref = 1.0  # only checked: ep_integrate_partial divides by 1/pref itself
+    off = 0
+    for coords, th in even_blocks:
+        k2 = len(coords)
+        k = k2 // 2
+        Om = np.zeros((k2, k2))
+        Om[:k, k:] = np.eye(k)
+        Om[k:, :k] = -np.eye(k)
+        X[off:off + k2, off:off + k2] = (-1j / th) * Om  # z1^T (2X) z2 in the exponent
+        x_inv[off:off + k2, off:off + k2] = (-1j * th) * Om
+        try:
+            pref *= 1.0 / (pi ** k2 * th ** k2)
+        except (OverflowError, ZeroDivisionError):
+            pref = 0.0
+        if not (isfinite(pref) and pref != 0):
+            raise ParameterRangeError(
+                f"theta={th!r}: the kernel prefactor 1/(pi theta)^{k2} is not "
+                "a finite nonzero float")
+        off += k2
+    return D, (M1, M2), (X, x_inv)
 
 
 def _clifford_pair(u: int, v: int, c: dict[int, complex]) -> tuple[int, complex]:
@@ -289,12 +242,20 @@ def star_general(f: Superfunction, g: Superfunction,
     action touching only some coordinates), and leg-wise products on tensor
     factors (several blocks with their own deformation parameters).
 
-    Each word pair's odd factor comes from the Clifford rule.  A pair with a
-    constant coefficient is multiplied pointwise; every other pair adds its
-    term to its output word's integrand, and each output word then takes one
-    kernel integral, whatever the number of pairs that land on it.  The
-    pointwise products and the integrals are added into one keys map per
-    output word, which becomes its coefficient once, at the end.
+    Each word pair's odd factor comes from the Clifford rule.  A pair is
+    multiplied pointwise when no even block is active or a factor is
+    constant, since every derivative of a constant vanishes.  Every other
+    pair adds c * embed(f_I) * embed(g_J) to its output word's integrand on
+    the doubled space of :func:`_kernel_space`, which is built at the first
+    such pair; each side embeds a word's coefficient once per call.  Each
+    output word then takes one kernel integral, whatever the number of pairs
+    that land on it: by linearity this is the sum of the per-pair integrals.
+    :func:`~superstar.exppoly.ep_integrate_partial` multiplies by the
+    normalized kernel from (X, X^{-1}), so the result is normalized by
+    construction; with a polynomial or plane-wave factor the normalization
+    is exactly 1 and no eigenvalues are computed.  The pointwise products and
+    the integrals are added into one keys map per output word, which becomes
+    its coefficient once, at the end.
     """
     if f.m != g.m or f.n != g.n:
         raise DimensionError(
@@ -313,19 +274,30 @@ def star_general(f: Superfunction, g: Superfunction,
             raise ValueError(f"bad odd generator spec ({a}, {e})")
         clifford[1 << (a - 1)] = 1j * th * e / 2
     naux = f._unify(g)
-    even = _EvenProduct(f.m, even_blocks)
     out: dict[int, dict] = {}
+    integrands: dict[int, dict] = {}
+    left: dict[int, ExpPolyFunction] = {}
+    right: dict[int, ExpPolyFunction] = {}
+    kernel = None
     for wf, ff in f.terms.items():
         for wg, gg in g.terms.items():
             word, c = _clifford_pair(wf, wg, clifford)
             if c == 0:
                 continue
-            if even.pointwise(ff, gg):
+            if not seen or _is_constant(ff) or _is_constant(gg):
                 ep_mul_into(out.setdefault(word, {}), ff, gg, c)
-            else:
-                even.add(word, c, wf, ff, wg, gg)
-    for word, piece in even.integrals():
-        ep_add_into(out.setdefault(word, {}), piece)
+                continue
+            if kernel is None:
+                D, (M1, M2), kernel = _kernel_space(f.m, even_blocks)
+                origin = np.zeros(f.m)
+            if wf not in left:
+                left[wf] = ff.affine(M1, origin)
+            if wg not in right:
+                right[wg] = gg.affine(M2, origin)
+            ep_mul_into(integrands.setdefault(word, {}), left[wf], right[wg], c)
+    for word, keys in integrands.items():
+        ep_add_into(out.setdefault(word, {}),
+                    ep_integrate_partial(ep_from_keys(D, keys), range(f.m, D), kernel=kernel))
     return Superfunction.from_keys(f.m, f.n, out, naux)
 
 

@@ -665,7 +665,7 @@ def verify_qgroup(*, tol: float | None = None, seed: int = 0) -> dict:
     """Pentagon identity and superunitarity of the multiplicative unitary."""
     t = 1e-8 if tol is None else float(tol)
     qctx = QGroupContext(1, 2, (1, 1))
-    rep = pentagon_check(qctx, t_samples=5, seed=seed, tol=t, unitarity=True)
+    rep = pentagon_check(qctx, t_samples=5, seed=seed, tol=t)
     pentagon = _check("pentagon-identity", len(rep["pentagon"]),
                       float(rep["max_deviation"]), t,
                       constant_legs_deviation=float(rep["constant_legs_deviation"]),

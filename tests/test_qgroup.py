@@ -333,13 +333,13 @@ def test_pentagon_identity():
 
 def test_pentagon_with_nondefault_weights():
     qctx = QGroupContext(1, 2, (1, 1), dilation_weights=(0.5,))
-    report = pentagon_check(qctx, t_samples=2, seed=4, unitarity=False)
+    report = pentagon_check(qctx, t_samples=2, seed=4)
     assert report["passed"]
     assert report["max_deviation"] <= 1e-10
 
 
 def test_superunitarity():
-    report = pentagon_check(QCTX, t_samples=1, seed=6, unitarity=True)
+    report = pentagon_check(QCTX, t_samples=1, seed=6)
     uni = report["superunitarity"]
     assert uni["passed"]
     assert uni["deviation"] <= 1e-10
@@ -348,6 +348,6 @@ def test_superunitarity():
 
 def test_pentagon_purely_even_context():
     qctx = QGroupContext(1, 0, (0, 0))
-    report = pentagon_check(qctx, t_samples=2, seed=9, unitarity=False)
+    report = pentagon_check(qctx, t_samples=2, seed=9)
     assert report["passed"]
     assert report["max_deviation"] <= 1e-10

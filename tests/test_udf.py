@@ -23,8 +23,6 @@ CTX = DeformationContext(0.7, 1, 2, (1, 1))
 def test_action_spec_validation():
     with pytest.raises(ValueError):
         ActionSpec("weird-class", CTX)
-    with pytest.raises(ValueError):
-        ActionSpec("B1-class", CTX, C=-1.0)
 
 
 def test_action_axioms_pass_for_shipped_actions():
