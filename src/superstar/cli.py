@@ -160,10 +160,8 @@ def _cmd_supertorus(args: argparse.Namespace) -> int:
     if args.theta is not None and not math.isfinite(args.theta):
         raise ValueError(f"theta must be finite, got {args.theta!r}")
     tokens, coeff = parse_torus_tokens(args.word)
-    m = max([i for g, i, _ in tokens if g in ("U", "V")], default=1)
-    p = max([i for g, i, _ in tokens if g == "G"], default=0)
-    q = max([i for g, i, _ in tokens if g == "X"], default=0)
-    element = torus_normal_form(tokens, m=m, p=p, q=q, coeff=coeff)
+    element = torus_normal_form(tokens, coeff=coeff)
+    p, q = element.p, element.q
 
     theta_txt = "theta" if args.theta is None else _fmt_real(args.theta)
     entries = []

@@ -260,14 +260,14 @@ def star_general(f: Superfunction, g: Superfunction,
     if f.m != g.m or f.n != g.n:
         raise DimensionError(
             f"operands on different superspaces: ({f.m}|{f.n}) vs ({g.m}|{g.n})")
-    seen: set[int] = set()
+    active: set[int] = set()
     for coords, _ in even_blocks:
         if len(coords) % 2:
             raise ValueError("even block needs an even number of coordinates")
         for c in coords:
-            if not 0 <= c < f.m or c in seen:
+            if not 0 <= c < f.m or c in active:
                 raise ValueError(f"bad even block coordinate {c}")
-            seen.add(c)
+            active.add(c)
     clifford: dict[int, complex] = {}
     for a, e, th in odd_gens:
         if not 1 <= a <= f.n or (1 << (a - 1)) in clifford or e not in (1, -1):
@@ -284,7 +284,7 @@ def star_general(f: Superfunction, g: Superfunction,
             word, c = _clifford_pair(wf, wg, clifford)
             if c == 0:
                 continue
-            if not seen or _is_constant(ff) or _is_constant(gg):
+            if not active or _is_constant(ff) or _is_constant(gg):
                 ep_mul_into(out.setdefault(word, {}), ff, gg, c)
                 continue
             if kernel is None:

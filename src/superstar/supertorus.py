@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import re
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "TorusScalar",

@@ -39,7 +39,7 @@ from .superfun import (
     smul,
     substitute,
 )
-from .supertorus import SupertorusElement, TorusScalar
+from .supertorus import SupertorusElement
 
 __all__ = [
     "ActionSpec",
@@ -163,7 +163,7 @@ class ActionSpec:
             shifted = self.translate(a, x1)
             bound = seminorm(a, grid + x1) + 1e-9
             if seminorm(shifted, grid) > bound:
-                raise AssertionError("action axiom violated: not subisometric")
+                raise AssertionError("action axiom violated: not isometric")
         # pointwise algebra automorphism
         a, b = samples
         x = rng.uniform(-1, 1, size=d)

@@ -321,8 +321,8 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
       monomials and preserves the indefinite pairing (odd ranks up to 4),
     * superadjoints of graded operators: defining relation, involution,
       conjugate transpose in an orthonormal graded basis, graded product
-      reversal.  Involution and product reversal compare matrices that each
-      went through G^{-1} more than once, so they are scored by their
+      reversal.  The defining relation, involution and product reversal
+      compare matrices computed through G^{-1}, so they are scored by their
       backward error (:func:`_backward_error`): a sampled gram matrix with
       large entries does not read as a wrong superadjoint.
     """
@@ -373,13 +373,9 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
         T = _rand_graded_operator(rng, parities, deg)
         G = _graded_gram(rng, parities)
         Td = superadjoint(T, G)
-        k = len(parities)
-        basis = np.eye(k)
-        for x in range(k):
-            for y in range(k):
-                lhs = np.conj(Td.matrix @ basis[x]) @ G @ basis[y]
-                rhs = (-1) ** (deg * parities[x]) * (np.conj(basis[x]) @ G @ (T.matrix @ basis[y]))
-                worst = max(worst, abs(lhs - rhs))
+        # <Td x, y> = (-1)^{deg |x|} <x, T y> on the basis: Td^H G = D G T
+        D = np.diag([(-1.0) ** (deg * p) for p in parities])
+        worst = max(worst, _backward_error(Td.matrix.conj().T @ G, D @ G @ T.matrix, G))
     defining = _check("superadjoint-defining-relation", 20, worst, t)
 
     rng = _rng(seed, 42)
@@ -412,7 +408,7 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
         rhs = superadjoint(T, G).compose(superadjoint(S, G)).scale((-1) ** (dS * dT))
         worst = max(worst, _backward_error(lhs.matrix, rhs.matrix, G))
     product_law = _check("superadjoint-graded-product-reversal", 15, worst,
-                         max(t, 1e-9))
+                         1e-9 if tol is None else t)
 
     checks = [positivity, square, preserve, defining, involution,
               basis_formula, product_law]
@@ -542,17 +538,15 @@ def verify_udf(*, tol: float | None = None, seed: int = 0) -> dict:
         checks.append(_check(f"associativity-{tag}", 100, worst, t))
 
     bridge = torus_vs_udf(ctx)
-    bridge_check = _check("supertorus-generator-bridge",
-                          len(bridge["relations"]),
-                          float(bridge["max_deviation"]),
-                          max(t, 1e-9),
-                          matched=bool(bridge["matched"]),
-                          theta_torus=float(bridge["theta_torus"]),
-                          odd_scale=float(bridge["odd_scale"]),
-                          odd_scale_spread=float(bridge["odd_scale_spread"]),
-                          uv_phase_residual=float(bridge["uv_phase_residual"]))
-    bridge_check["passed"] = bool(bridge_check["passed"] and bridge["matched"])
-    checks.append(bridge_check)
+    checks.append(_check("supertorus-generator-bridge",
+                         len(bridge["relations"]),
+                         float(bridge["max_deviation"]),
+                         1e-9 if tol is None else t,
+                         matched=bool(bridge["matched"]),
+                         theta_torus=float(bridge["theta_torus"]),
+                         odd_scale=float(bridge["odd_scale"]),
+                         odd_scale_spread=float(bridge["odd_scale_spread"]),
+                         uv_phase_residual=float(bridge["uv_phase_residual"])))
 
     return _suite_report("udf", checks, context=_context_json(ctx))
 
@@ -718,11 +712,11 @@ def verify_gw_suite(*, tol: float | None = None, seed: int = 0) -> dict:
     calibration = _check("calibration-identities", 2,
                          max(float(calib["kinetic_rel_dev"]),
                              float(calib["harmonic_rel_dev"])),
-                         max(t, 1e-10),
+                         t,
                          scale_formula=calib["scale_formula"])
     fit = rep["coefficient_fit"]
     fit_check = _check("per-term-coefficient-fit", int(fit["fields_used"]),
-                       float(fit["residual"]), max(t, 1e-9),
+                       float(fit["residual"]), t,
                        kinetic_coeff=float(fit["kinetic_coeff"]),
                        harmonic_sq_fit=float(fit["harmonic_sq_fit"]),
                        mass_sq_fit=float(fit["mass_sq_fit"]),

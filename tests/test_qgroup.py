@@ -108,7 +108,7 @@ def test_deferred_caches_and_validates():
         calls.append(t)
         return Superfunction.one(QCTX.d, QCTX.n)
 
-    dfr = Deferred(1, fn, singular_at_zero=True)
+    dfr = Deferred(1, fn)
     dfr.at(0.5)
     dfr.at(0.5)
     assert len(calls) == 1
@@ -116,8 +116,6 @@ def test_deferred_caches_and_validates():
     assert len(calls) == 2
     with pytest.raises(DimensionError):
         dfr.at(0.5, 0.7)
-    with pytest.raises(SingularityError):
-        dfr.at(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +304,19 @@ def test_w_apply_validates_legs():
     with pytest.raises(SingularityError):
         W.at(0.5, 0.0)
 
+
+
+def test_deferred_products_raise_only_at_their_own_singular_point():
+    # W on legs (0, 1) deforms with theta = t_1 alone: t_0 = 0 is a regular
+    # point, where W is continuous; t_1 = 0 and qg_star at t = 0 are singular
+    rng = np.random.default_rng(19)
+    f1, f2 = _rand_element(QCTX, rng), _rand_element(QCTX, rng)
+    W = w_apply(QCTX, tensor(QCTX, [f1, f2]), 0, 1)
+    assert sf_max_dev(W.at(0.0, 0.7), W.at(1e-9, 0.7)) <= 1e-7
+    with pytest.raises(SingularityError):
+        W.at(0.5, 0.0)
+    with pytest.raises(SingularityError):
+        qg_star(QCTX, f1, f2).at(0.0)
 
 def test_w_apply_rejects_gaussian_cross_coupling():
     d, n = QCTX.d, QCTX.n

@@ -65,9 +65,12 @@ def test_seed_changes_the_samples_not_the_verdict():
 
 
 def test_tolerance_override_is_applied():
-    strict = run_suite("hilbert", tol=1e-16)
-    assert not strict["passed"]
-    assert all(c["tolerance"] <= 1e-16 or c["passed"] for c in strict["checks"])
+    # --tol sets every tolerance of a suite, none keeps a floor of its own
+    for suite in ("hilbert", "udf", "gw", "qgroup"):
+        strict = run_suite(suite, tol=1e-16)
+        assert [c["tolerance"] for c in strict["checks"]] == [1e-16] * len(strict["checks"])
+        if suite == "hilbert":
+            assert not strict["passed"]
 
 
 def test_ledger_constants_embedded():
@@ -119,7 +122,8 @@ def _superadjoint_flipping(flip):
     return adjoint
 
 
-@pytest.mark.parametrize("check", ["superadjoint-involution",
+@pytest.mark.parametrize("check", ["superadjoint-defining-relation",
+                                   "superadjoint-involution",
                                    "superadjoint-graded-product-reversal"])
 def test_superadjoint_backward_error_catches_one_flipped_sign(monkeypatch, check):
     verdicts = []
