@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"suite name or suite=<name>; one of "
                                f"{', '.join(SUITE_NAMES)}")
     p_verify.add_argument("--tol", type=_tolerance, default=None,
-                          help="override every check tolerance in the suite")
+                          help="override every check tolerance in the suite "
+                               "(eps and torus check exact identities at 0)")
     p_verify.add_argument("--n", type=int, default=None,
                           help="subset universe size for the eps suite")
     common(p_verify)
