@@ -9,7 +9,9 @@ Subcommands
 ``verify suite=NAME``
     Run one named verification suite (or ``all``) from
     :mod:`superstar.verify` and print its report; the bare name is accepted
-    too.  Exit code 0 iff every check in the report passed.
+    too.  A table of the verdicts, one line per suite and per check, and the
+    seconds taken go to standard error.  Exit code 0 iff every check in the
+    report passed.
 ``supertorus normalize WORD``
     Normal-order a word in the supertorus generators and print the ordered
     word plus the exact crossing phase (symbolic in pi and theta).
@@ -36,6 +38,7 @@ import math
 import os
 import re
 import sys
+import time
 
 import numpy as np
 
@@ -130,12 +133,7 @@ def _cmd_star(args: argparse.Namespace) -> int:
     report = {
         "command": "star",
         "expression": print_expression(ast),
-        "context": {
-            "theta": float(ctx.theta),
-            "m": int(ctx.m),
-            "n": int(ctx.n),
-            "signature": [int(p) for p in ctx.odd_signature],
-        },
+        "context": ctx.header_json(),
         "ledger": ctx.ledger_json(),
         "result": words,
     }
@@ -151,9 +149,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"superstar verify: unknown suite {name!r}; "
               f"available: {', '.join(SUITE_NAMES)}", file=sys.stderr)
         return 2
+    start = time.perf_counter()
     report = run_suite(name, seed=args.seed, tol=args.tol, n=args.n)
+    seconds = time.perf_counter() - start
     _emit(report, args.json_out)
+    _print_table(report, seconds)
     return 0 if report["passed"] else 1
+
+
+def _print_table(report: dict, seconds: float) -> None:
+    """The verdict of every suite and check, one line each, on stderr."""
+    for suite in report.get("suites", [report]):
+        mark = "PASS" if suite["passed"] else "FAIL"
+        print(f"{mark}  {suite['suite']:<11s} ({suite['cases']} cases)",
+              file=sys.stderr)
+        for c in suite["checks"]:
+            dev = c["max_deviation"]
+            dev = "null" if dev is None else f"{dev:9.3e}"
+            print(f"      {'ok  ' if c['passed'] else 'FAIL'} {c['check']:<45s} "
+                  f"max {dev:>9s}  tol {c['tolerance']:7.1e}", file=sys.stderr)
+    print(f"{'PASS' if report['passed'] else 'FAIL'}: {report['cases']} cases "
+          f"in {seconds:.1f}s", file=sys.stderr)
 
 
 def _cmd_supertorus(args: argparse.Namespace) -> int:
@@ -161,24 +177,13 @@ def _cmd_supertorus(args: argparse.Namespace) -> int:
         raise ValueError(f"theta must be finite, got {args.theta!r}")
     tokens, coeff = parse_torus_tokens(args.word)
     element = torus_normal_form(tokens, coeff=coeff)
-    p, q = element.p, element.q
 
     theta_txt = "theta" if args.theta is None else _fmt_real(args.theta)
     entries = []
     for word in sorted(element.words):
-        u_exp, v_exp, g_word, x_word = word
-        parts = []
-        for j, e in enumerate(u_exp, start=1):
-            if e:
-                parts.append(f"U{j}" + (f"^{e}" if e != 1 else ""))
-        for j, e in enumerate(v_exp, start=1):
-            if e:
-                parts.append(f"V{j}" + (f"^{e}" if e != 1 else ""))
-        parts.extend(f"G{k + 1}" for k in range(p) if g_word >> k & 1)
-        parts.extend(f"X{k + 1}" for k in range(q) if x_word >> k & 1)
         scalar = element.words[word]
         terms = sorted(scalar.terms.items())
-        entry: dict = {"word": " ".join(parts) if parts else "1"}
+        entry: dict = {"word": element.word_text(word)}
         if len(terms) == 1:
             (theta_pow, phase_k), c = terms[0]
             entry["coefficient"] = [c.real, c.imag]

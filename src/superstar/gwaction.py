@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DivergenceError
-from .exppoly import ExpPolyFunction
+from .exppoly import ExpPolyFunction, worst_dev
 from .starprod import DeformationContext, star
 from .superfun import Superfunction, sintegrate
 
@@ -120,12 +120,12 @@ class GWParams:
         return self.coupling * (1.0 - self.field_ratio ** 4 * self.theta ** 2 / 4.0)
 
 
-def _is_real(fn: ExpPolyFunction, tol: float = 1e-12) -> bool:
+def _is_real(fn: ExpPolyFunction) -> bool:
     diff = fn - fn.conj()
     pts = np.random.default_rng(0).uniform(-1.5, 1.5, (32, fn.d))
     vals = diff.eval(pts)
     ref = max(1.0, float(np.max(np.abs(fn.eval(pts)))))
-    return float(np.max(np.abs(vals))) <= tol * ref
+    return float(np.max(np.abs(vals))) <= 1e-12 * ref
 
 
 class Superfield:
@@ -328,8 +328,7 @@ def calibration_identities(theta: float, phi: ExpPolyFunction) -> dict:
     return {"kinetic_rel_dev": float(k_dev), "harmonic_rel_dev": float(h_dev)}
 
 
-def coefficient_fit(params: GWParams,
-                    fields: list[ExpPolyFunction] | None = None) -> dict:
+def coefficient_fit(params: GWParams) -> dict:
     """Empirical coefficient extraction: express the superfield action as a
     linear combination of the four plane functionals
 
@@ -339,15 +338,14 @@ def coefficient_fit(params: GWParams,
     by least squares over several test fields, and report the fitted
     harmonic/quartic couplings.  A small residual certifies that the
     superfield action lies in the harmonic-quartic family at all."""
-    if fields is None:
-        fields = [
-            ExpPolyFunction.gaussian(2, -0.5 * np.eye(2)),
-            ExpPolyFunction.gaussian(2, -0.25 * np.eye(2), c=0.8),
-            ExpPolyFunction.gaussian(2, -0.4 * np.eye(2)).translate([0.35, -0.2]),
-            ExpPolyFunction.gaussian(2, np.diag([-0.3, -0.7]), c=1.2),
-            ExpPolyFunction.gaussian(2, -0.8 * np.eye(2), c=0.6).translate([-0.5, 0.1]),
-            ExpPolyFunction.gaussian(2, np.diag([-0.6, -0.35])),
-        ]
+    fields = [
+        ExpPolyFunction.gaussian(2, -0.5 * np.eye(2)),
+        ExpPolyFunction.gaussian(2, -0.25 * np.eye(2), c=0.8),
+        ExpPolyFunction.gaussian(2, -0.4 * np.eye(2)).translate([0.35, -0.2]),
+        ExpPolyFunction.gaussian(2, np.diag([-0.3, -0.7]), c=1.2),
+        ExpPolyFunction.gaussian(2, -0.8 * np.eye(2), c=0.6).translate([-0.5, 0.1]),
+        ExpPolyFunction.gaussian(2, np.diag([-0.6, -0.35])),
+    ]
     ctx = gw_context(params.theta)
     rows, values = [], []
     for phi in fields:
@@ -422,8 +420,8 @@ def verify_gw(grid: list[GWParams] | None = None,
                               quartic=params.derived_quartic)
             lit_dev = abs(rep["value"] - s_lit) / max(1.0, abs(s_lit))
             der_dev = abs(rep["value"] - s_der) / max(1.0, abs(s_der))
-            lit_worst = max(lit_worst, lit_dev)
-            der_worst = max(der_worst, der_dev)
+            lit_worst = worst_dev(lit_worst, lit_dev)
+            der_worst = worst_dev(der_worst, der_dev)
             points.append({
                 "theta": params.theta,
                 "mass": params.mass,
@@ -442,8 +440,8 @@ def verify_gw(grid: list[GWParams] | None = None,
                             "action": s_der,
                             "rel_dev": der_dev},
             })
-    miss_b_zero = max((pt["target"]["rel_dev"] for pt in points
-                       if pt["field_ratio"] == 0.0), default=0.0)
+    miss_b_zero = worst_dev(0.0, *(pt["target"]["rel_dev"] for pt in points
+                                   if pt["field_ratio"] == 0.0))
     miss_b_nonzero = [pt["target"]["rel_dev"] for pt in points
                       if pt["field_ratio"] != 0.0]
     cal = calibration_identities(1.3, default_fields()[0][1])
@@ -477,7 +475,7 @@ def verify_gw(grid: list[GWParams] | None = None,
         "target_max_rel_dev_b_zero": float(miss_b_zero),
         "refutation_margin": REFUTATION_MARGIN,
         "target_refuted": bool(miss_b_nonzero
-                               and min(miss_b_nonzero) > REFUTATION_MARGIN
+                               and all(d > REFUTATION_MARGIN for d in miss_b_nonzero)
                                and miss_b_zero <= tol),
         "analysis": (
             "the target coefficient map (harmonic_sq = b^4 theta^2/16, "

@@ -46,7 +46,6 @@ __all__ = [
     "GroupElement",
     "group_mul",
     "group_inverse",
-    "group_identity",
     "representation",
 ]
 
@@ -179,10 +178,6 @@ def group_inverse(g: GroupElement) -> GroupElement:
     return GroupElement(tuple(-x for x in g.q), tuple(-x for x in g.p),
                         neg(g.xi), neg(g.eta), neg(g.zeta), neg(g.zetabar),
                         g.t.scale(-1.0))
-
-
-def group_identity(ctx: HeisenbergContext, naux: int = 0) -> GroupElement:
-    return GroupElement.make(ctx, naux=naux)
 
 
 # ---------------------------------------------------------------------------

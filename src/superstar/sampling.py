@@ -120,10 +120,9 @@ def random_oracle_factor(rng: np.random.Generator, ctx: DeformationContext,
     return random_star_factor(rng, ctx, kinds=("pw", "poly"), naux=naux)
 
 
-def random_integrable_factor(rng: np.random.Generator, ctx: DeformationContext,
-                             naux: int = 0) -> Superfunction:
+def random_integrable_factor(rng: np.random.Generator, ctx: DeformationContext) -> Superfunction:
     """Factor whose coefficients all decay (for tracial-property samples)."""
-    return random_star_factor(rng, ctx, kinds=("gaussian",), naux=naux)
+    return random_star_factor(rng, ctx, kinds=("gaussian",))
 
 
 def random_odd_aux_shifts(rng: np.random.Generator, n: int,

@@ -99,18 +99,10 @@ class DeformationContext:
         p, q = self.odd_signature
         return (1,) * p + (-1,) * q
 
-    def omega(self) -> np.ndarray:
-        """The (2m+n) x (2m+n) graded form: antisymmetric even block, diagonal odd block."""
-        d = 2 * self.m + self.n
-        M = np.zeros((d, d))
-        M[: self.m, self.m: 2 * self.m] = np.eye(self.m)
-        M[self.m: 2 * self.m, : self.m] = -np.eye(self.m)
-        for a, e in enumerate(self.eta):
-            M[2 * self.m + a, 2 * self.m + a] = e
-        return M
-
     def omega_even(self) -> np.ndarray:
-        return self.omega()[: 2 * self.m, : 2 * self.m]
+        """The 2m x 2m symplectic form [[0, 1_m], [-1_m, 0]]."""
+        one, zero = np.eye(self.m), np.zeros((self.m, self.m))
+        return np.block([[zero, one], [-one, zero]])
 
     def even_blocks(self) -> tuple[EvenBlock, ...]:
         if self.m == 0:
@@ -146,6 +138,15 @@ class DeformationContext:
             c_plus.append(complex(sum(t.c for t in prod.body().terms)))
         led["c_plus"] = tuple(c_plus)
         return led
+
+    def header_json(self) -> dict:
+        """theta, the dimensions and the odd signature, as reports name the context."""
+        return {
+            "theta": float(self.theta),
+            "m": int(self.m),
+            "n": int(self.n),
+            "signature": [int(p) for p in self.odd_signature],
+        }
 
     def ledger_json(self) -> dict:
         """The ledger as JSON-safe data (complex values as [re, im])."""

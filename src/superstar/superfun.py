@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DimensionError, ParityError
 from .exppoly import (ExpPolyFunction, ep_add_into, ep_from_distinct, ep_from_keys, ep_max_dev,
-                      ep_mul_into)
-from .grassmann import GrassmannElement, eps, indices_from_bits
+                      ep_mul_into, worst_dev)
+from .grassmann import GrassmannElement, eps
 
 __all__ = [
     "Superfunction",
@@ -185,38 +185,6 @@ class Superfunction:
         return Superfunction(self.m, self.n,
                              {w: f.conj() for w, f in self.terms.items()}, self.naux)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        terms = []
-        for w in sorted(self.terms):
-            amb = w & ((1 << self.n) - 1)
-            aux = w >> self.n
-            terms.append({
-                "I": list(indices_from_bits(amb)),
-                "f": self.terms[w].to_json_dict(),
-                "aux": list(indices_from_bits(aux)),
-            })
-        return {"m": self.m, "n": self.n, "terms": terms}
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping, naux: int = 0) -> "Superfunction":
-        m, n = int(data["m"]), int(data["n"])
-        terms: dict[int, ExpPolyFunction] = {}
-        max_aux = naux
-        for td in data["terms"]:
-            amb = 0
-            for i in td["I"]:
-                amb |= 1 << (int(i) - 1)
-            aux_bits = 0
-            for i in td.get("aux", []):
-                aux_bits |= 1 << (int(i) - 1)
-                max_aux = max(max_aux, int(i))
-            word = amb | (aux_bits << n)
-            f = ExpPolyFunction.from_json_dict(td["f"])
-            terms[word] = terms[word] + f if word in terms else f
-        return cls(m, n, terms, max_aux)
-
     def __eq__(self, other):
         if not isinstance(other, Superfunction):
             return NotImplemented
@@ -337,14 +305,12 @@ def grassmann_translate(f: Superfunction, eta: Sequence[GrassmannElement | None]
 
 
 def sf_max_dev(f: Superfunction, g: Superfunction) -> float:
-    """Max over Grassmann words of the coefficient deviation on the fixed grid."""
+    """Max over Grassmann words of the coefficient deviation on the fixed
+    grid; NaN when any word's deviation is NaN."""
     if (f.m, f.n) != (g.m, g.n):
         raise DimensionError("superspace mismatch")
     words = set(f.terms) | set(g.terms)
-    dev = 0.0
-    for w in words:
-        dev = max(dev, ep_max_dev(f.coefficient(w), g.coefficient(w)))
-    return dev
+    return worst_dev(0.0, *(ep_max_dev(f.coefficient(w), g.coefficient(w)) for w in words))
 
 
 def sf_close(f: Superfunction, g: Superfunction, tol: float = 1e-10) -> bool:

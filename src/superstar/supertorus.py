@@ -275,23 +275,20 @@ class SupertorusElement:
                                      c.conj().scale(sign))
         return out
 
+    def word_text(self, word: Word) -> str:
+        """A normal-ordered word as text, such as ``U1^2 V1 G1``; ``1`` when empty."""
+        a, b, S, T = word
+        gens = [f"U{j+1}" + (f"^{e}" if e != 1 else "") for j, e in enumerate(a) if e]
+        gens += [f"V{j+1}" + (f"^{e}" if e != 1 else "") for j, e in enumerate(b) if e]
+        gens += [f"G{k+1}" for k in range(self.p) if S >> k & 1]
+        gens += [f"X{k+1}" for k in range(self.q) if T >> k & 1]
+        return " ".join(gens) if gens else "1"
+
     def __repr__(self) -> str:
         if self.is_zero:
             return "0"
-        bits = []
-        for (a, b, S, T), c in sorted(self.words.items()):
-            gens = []
-            for j, e in enumerate(a):
-                if e:
-                    gens.append(f"U{j+1}" + (f"^{e}" if e != 1 else ""))
-            for j, e in enumerate(b):
-                if e:
-                    gens.append(f"V{j+1}" + (f"^{e}" if e != 1 else ""))
-            gens += [f"G{k+1}" for k in range(self.p) if S >> k & 1]
-            gens += [f"X{k+1}" for k in range(self.q) if T >> k & 1]
-            word = " ".join(gens) if gens else "1"
-            bits.append(f"[{c!r}] {word}")
-        return "  +  ".join(bits)
+        return "  +  ".join(f"[{c!r}] {self.word_text(w)}"
+                            for w, c in sorted(self.words.items()))
 
 
 def _from_tokens(m: int, p: int, q: int, tokens: Iterable[tuple[str, int, int]],

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .exppoly import ExpPolyFunction
+from .exppoly import ExpPolyFunction, worst_dev
 from .grassmann import GrassmannElement
 from .starprod import DeformationContext, star_general
 from .superfun import (
@@ -296,9 +296,8 @@ def torus_vs_udf(ctx: DeformationContext) -> dict:
                                       _map_torus_element(g2, ctx, theta_torus, odd_scale))
             dev = sf_max_dev(through_torus, through_udf)
             relations.append({"pair": f"{name1}*{name2}", "deviation": float(dev)})
-            if dev > worst:
-                worst = dev
-            if dev > 1e-9 and counterexample is None:
+            worst = worst_dev(worst, dev)
+            if not dev <= 1e-9 and counterexample is None:
                 counterexample = {"pair": f"{name1}*{name2}", "deviation": float(dev)}
     report["relations"] = relations
     report["max_deviation"] = float(worst)

@@ -41,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from .exppoly import worst_dev
 from .grassmann import GrassmannElement, eps
 from .gwaction import verify_gw
 from .heisenberg import GroupElement, HeisenbergContext, representation
@@ -83,21 +84,22 @@ __all__ = ["SUITE_NAMES", "run_suite", "run_all"]
 
 
 def _context_json(ctx: DeformationContext) -> dict:
-    return {
-        "theta": float(ctx.theta),
-        "m": int(ctx.m),
-        "n": int(ctx.n),
-        "signature": [int(p) for p in ctx.odd_signature],
-        "ledger": ctx.ledger_json(),
-    }
+    return {**ctx.header_json(), "ledger": ctx.ledger_json()}
+
+
+def _json_float(x: float) -> float | None:
+    """x as a report number: NaN and infinity, which JSON cannot hold, as null."""
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def _check(name: str, cases: int, max_dev: float, tol: float, **extra) -> dict:
-    """One check record; a check that ran no case does not pass."""
+    """One check record; a check that ran no case does not pass, nor does
+    one whose deviation is not finite, which is written as null."""
     rec = {
         "check": name,
         "cases": int(cases),
-        "max_deviation": float(max_dev),
+        "max_deviation": _json_float(max_dev),
         "tolerance": float(tol),
         "passed": bool(cases > 0 and max_dev <= tol),
     }
@@ -208,7 +210,7 @@ def verify_star(*, tol: float | None = None, seed: int = 0) -> dict:
         ctx = pool[i % len(pool)]
         f = random_oracle_factor(rng, ctx)
         g = random_oracle_factor(rng, ctx)
-        worst = max(worst, sf_max_dev(star(ctx, f, g), star_oracle(ctx, f, g)))
+        worst = worst_dev(worst, sf_max_dev(star(ctx, f, g), star_oracle(ctx, f, g)))
     oracle = _check("closed-form-matches-quadrature-oracle", 200, worst, oracle_tol)
 
     rng = _rng(seed, 13)
@@ -219,8 +221,8 @@ def verify_star(*, tol: float | None = None, seed: int = 0) -> dict:
         f = random_star_factor(rng, ctx)
         g = random_star_factor(rng, ctx)
         h = random_star_factor(rng, ctx)
-        worst = max(worst, sf_max_dev(star(ctx, star(ctx, f, g), h),
-                                      star(ctx, f, star(ctx, g, h))))
+        worst = worst_dev(worst, sf_max_dev(star(ctx, star(ctx, f, g), h),
+                                            star(ctx, f, star(ctx, g, h))))
     assoc = _check("associativity", 200, worst, assoc_tol)
 
     rng = _rng(seed, 17)
@@ -237,7 +239,7 @@ def verify_star(*, tol: float | None = None, seed: int = 0) -> dict:
             continue
         lhs = sintegrate(prod)
         rhs = sintegrate(smul(f, g))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        worst = worst_dev(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
         counted += 1
     trace = _check("traciality-relative", counted, worst, trace_tol)
 
@@ -250,7 +252,7 @@ def verify_star(*, tol: float | None = None, seed: int = 0) -> dict:
         g = random_star_factor(rng, ctx)
         a = rng.uniform(-1, 1, size=2 * ctx.m)
         lhs = star(ctx, f.translate_even(a), g.translate_even(a))
-        worst_even = max(worst_even, sf_max_dev(lhs, star(ctx, f, g).translate_even(a)))
+        worst_even = worst_dev(worst_even, sf_max_dev(lhs, star(ctx, f, g).translate_even(a)))
     even_shift = _check("even-translation-invariance", 50, worst_even, shift_tol)
 
     rng = _rng(seed, 23)
@@ -261,7 +263,7 @@ def verify_star(*, tol: float | None = None, seed: int = 0) -> dict:
         g = random_star_factor(rng, ctx)
         eta = random_odd_aux_shifts(rng, ctx.n, 2)
         lhs = star(ctx, grassmann_translate(f, eta), grassmann_translate(g, eta))
-        worst_odd = max(worst_odd, sf_max_dev(lhs, grassmann_translate(star(ctx, f, g), eta)))
+        worst_odd = worst_dev(worst_odd, sf_max_dev(lhs, grassmann_translate(star(ctx, f, g), eta)))
     odd_shift = _check("odd-translation-invariance", 50, worst_odd, shift_tol)
 
     checks = [oracle, assoc, trace, even_shift, odd_shift]
@@ -329,16 +331,17 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
     t = 1e-10 if tol is None else float(tol)
 
     rng = _rng(seed, 29)
-    worst_imag = 0.0
-    min_real = math.inf
+    values = []
     for _ in range(100):
         n = int(rng.integers(0, 4))
         f = random_gaussian_superfunction(rng, 1, n)
-        v = complex(scalar_J(f, f))
-        worst_imag = max(worst_imag, abs(v.imag))
-        min_real = min(min_real, v.real)
-    positivity = _check("j-scalar-product-positivity", 100, worst_imag, t,
-                        min_value=float(min_real))
+        values.append(complex(scalar_J(f, f)))
+    # numpy's max and min, unlike Python's, keep a NaN
+    values = np.array(values)
+    min_real = float(np.min(values.real))
+    positivity = _check("j-scalar-product-positivity", 100,
+                        np.max(np.abs(values.imag)), t,
+                        min_value=_json_float(min_real))
     positivity["passed"] = bool(positivity["passed"] and min_real > 0.0)
 
     rng = _rng(seed, 31)
@@ -349,7 +352,7 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
             mono = Superfunction(1, n, {w: random_isotropic_gaussian(rng)})
             jj = fundamental_symmetry(fundamental_symmetry(mono))
             sign = (-1) ** ((n + 1) * w.bit_count())
-            worst = max(worst, sf_max_dev(jj, mono.scale(sign)))
+            worst = worst_dev(worst, sf_max_dev(jj, mono.scale(sign)))
             cases += 1
     square = _check("fundamental-symmetry-square-sign", cases, worst, t)
 
@@ -361,7 +364,7 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
             f = random_gaussian_superfunction(rng, 1, n)
             g = random_gaussian_superfunction(rng, 1, n)
             lhs = inner_l2(fundamental_symmetry(f), fundamental_symmetry(g))
-            worst = max(worst, abs(lhs - inner_l2(f, g)))
+            worst = worst_dev(worst, abs(lhs - inner_l2(f, g)))
             cases += 1
     preserve = _check("fundamental-symmetry-preserves-pairing", cases, worst, t)
 
@@ -375,7 +378,7 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
         Td = superadjoint(T, G)
         # <Td x, y> = (-1)^{deg |x|} <x, T y> on the basis: Td^H G = D G T
         D = np.diag([(-1.0) ** (deg * p) for p in parities])
-        worst = max(worst, _backward_error(Td.matrix.conj().T @ G, D @ G @ T.matrix, G))
+        worst = worst_dev(worst, _backward_error(Td.matrix.conj().T @ G, D @ G @ T.matrix, G))
     defining = _check("superadjoint-defining-relation", 20, worst, t)
 
     rng = _rng(seed, 42)
@@ -385,7 +388,7 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
         T = _rand_graded_operator(rng, parities, deg)
         G = _graded_gram(rng, parities)
         Tdd = superadjoint(superadjoint(T, G), G)
-        worst = max(worst, _backward_error(Tdd.matrix, T.matrix, G))
+        worst = worst_dev(worst, _backward_error(Tdd.matrix, T.matrix, G))
     involution = _check("superadjoint-involution", 20, worst, t)
 
     rng = _rng(seed, 43)
@@ -394,7 +397,7 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
     for _ in range(10):
         T = _rand_graded_operator(rng, parities, 0)
         Td = superadjoint(T, G0)
-        worst = max(worst, float(np.max(np.abs(Td.matrix - T.matrix.conj().T))))
+        worst = worst_dev(worst, float(np.max(np.abs(Td.matrix - T.matrix.conj().T))))
     basis_formula = _check("superadjoint-orthonormal-basis-transpose", 10, worst, t)
 
     rng = _rng(seed, 47)
@@ -406,7 +409,7 @@ def verify_hilbert(*, tol: float | None = None, seed: int = 0) -> dict:
         G = _graded_gram(rng, parities)
         lhs = superadjoint(S.compose(T), G)
         rhs = superadjoint(T, G).compose(superadjoint(S, G)).scale((-1) ** (dS * dT))
-        worst = max(worst, _backward_error(lhs.matrix, rhs.matrix, G))
+        worst = worst_dev(worst, _backward_error(lhs.matrix, rhs.matrix, G))
     product_law = _check("superadjoint-graded-product-reversal", 15, worst,
                          1e-9 if tol is None else t)
 
@@ -487,7 +490,7 @@ def verify_heisenberg(*, tol: float | None = None, seed: int = 0) -> dict:
         phi = _h_rand_fock(rng)
         lhs = representation(ctx, g1, representation(ctx, g2, phi))
         rhs = representation(ctx, group_mul(ctx, g1, g2), phi)
-        worst = max(worst, sf_max_dev(lhs.fun, rhs.fun))
+        worst = worst_dev(worst, sf_max_dev(lhs.fun, rhs.fun))
     rep_prop = _check("representation-property", 50, worst, t)
 
     rng = _rng(seed, 59)
@@ -501,7 +504,7 @@ def verify_heisenberg(*, tol: float | None = None, seed: int = 0) -> dict:
                        representation(ctx, g, psi)))
         rhs = _value_components(inner_fock(ctx.theta, phi, psi))
         for w in set(lhs) | set(rhs):
-            worst = max(worst, abs(lhs.get(w, 0j) - rhs.get(w, 0j)))
+            worst = worst_dev(worst, abs(lhs.get(w, 0j) - rhs.get(w, 0j)))
     unitary = _check("superunitarity-real-form", 50, worst, t)
 
     star_ctx = DeformationContext(ctx.theta, ctx.m, ctx.r + ctx.s)
@@ -534,7 +537,7 @@ def verify_udf(*, tol: float | None = None, seed: int = 0) -> dict:
             f, g, h = spec.sample(rng, 3)
             lhs = udf_product(spec, udf_product(spec, f, g), h)
             rhs = udf_product(spec, f, udf_product(spec, g, h))
-            worst = max(worst, sf_max_dev(lhs, rhs))
+            worst = worst_dev(worst, sf_max_dev(lhs, rhs))
         checks.append(_check(f"associativity-{tag}", 100, worst, t))
 
     bridge = torus_vs_udf(ctx)
@@ -710,8 +713,8 @@ def verify_gw_suite(*, tol: float | None = None, seed: int = 0) -> dict:
                      float(rep["derived_max_rel_dev"]), t)
     calib = rep["calibration"]
     calibration = _check("calibration-identities", 2,
-                         max(float(calib["kinetic_rel_dev"]),
-                             float(calib["harmonic_rel_dev"])),
+                         worst_dev(float(calib["kinetic_rel_dev"]),
+                                   float(calib["harmonic_rel_dev"])),
                          t,
                          scale_formula=calib["scale_formula"])
     fit = rep["coefficient_fit"]

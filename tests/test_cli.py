@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from superstar import cli
 from superstar.cli import build_parser, main
+from superstar.verify import run_suite
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +198,55 @@ def test_verify_deterministic_bytes(capsys):
     _, out_a, _ = run_cli(capsys, "verify", "hilbert", "--seed", "5")
     _, out_b, _ = run_cli(capsys, "verify", "hilbert", "--seed", "5")
     assert out_a == out_b
+
+
+def test_verify_table_on_stderr_beside_the_report(capsys):
+    code, out, err = run_cli(capsys, "verify", "suite=eps")
+    assert code == 0
+    report = run_suite("eps")
+    assert json.loads(out) == report
+    lines = err.splitlines()
+    assert lines[0].split() == ["PASS", "eps", f"({report['cases']}", "cases)"]
+    for check, line in zip(report["checks"], lines[1:-1], strict=True):
+        assert line.split()[:2] == ["ok", check["check"]]
+    assert lines[-1].startswith(f"PASS: {report['cases']} cases in ")
+
+
+def test_verify_failed_check_exits_1_with_report_and_fail_lines(capsys):
+    # the superadjoint laws go through G^{-1}, so they miss 0 by rounding
+    code, out, err = run_cli(capsys, "verify", "suite=hilbert", "--tol", "0")
+    assert code == 1
+    report = json.loads(out)
+    assert len(report["checks"]) == 7
+    failed = {c["check"] for c in report["checks"] if not c["passed"]}
+    assert {"superadjoint-defining-relation", "superadjoint-involution",
+            "superadjoint-graded-product-reversal"} <= failed
+    fail_lines = {line.split()[1] for line in err.splitlines()
+                  if line.split()[0] == "FAIL" and not line.startswith("FAIL")}
+    assert fail_lines == failed
+    assert err.splitlines()[0].startswith("FAIL  hilbert")
+    assert err.splitlines()[-1].startswith("FAIL: ")
+
+
+def test_verify_infinite_deviation_fails_with_parseable_report(capsys, monkeypatch):
+    # JSON has no infinity: the deviation is written as null and the check
+    # fails (exit 1), where it used to stop the report (exit 2, no stdout)
+    from superstar import verify
+
+    calls = []
+
+    def first_infinite(f, g):
+        calls.append(1)
+        return math.inf if len(calls) == 1 else 0.0
+
+    monkeypatch.setattr(verify, "sf_max_dev", first_infinite)
+    code, out, err = run_cli(capsys, "verify", "suite=hilbert")
+    assert code == 1
+    (check,) = [c for c in json.loads(out)["checks"]
+                if c["check"] == "fundamental-symmetry-square-sign"]
+    assert (check["passed"], check["max_deviation"]) == (False, None)
+    assert any(line.split()[:2] == ["FAIL", "fundamental-symmetry-square-sign"]
+               and "null" in line for line in err.splitlines())
 
 
 def test_verify_report_carries_ledger(capsys):

@@ -9,7 +9,6 @@ from superstar.grassmann import GrassmannElement
 from superstar.heisenberg import (
     GroupElement,
     HeisenbergContext,
-    group_identity,
     group_inverse,
     group_mul,
     representation,

@@ -222,15 +222,7 @@ def test_derive_odd_graded_product_rule():
 
 
 # ---------------------------------------------------------------------------
-# serialization, misc
-
-
-def test_json_roundtrip_with_aux():
-    rng = np.random.default_rng(RNG_SEED + 8)
-    f = random_superfunction(rng, 1, 2, naux=2)
-    data = f.to_json_dict()
-    g = Superfunction.from_json_dict(data, naux=2)
-    assert f == g
+# misc
 
 
 def test_parity_query():
@@ -262,3 +254,11 @@ def test_sf_close():
     g = f + Superfunction(1, 1, {1: ExpPolyFunction.const(1, 1e-13)})
     assert sf_close(f, g, tol=1e-10)
     assert not sf_close(f, g, tol=1e-16)
+
+
+def test_sf_max_dev_keeps_a_nan_word():
+    rng = np.random.default_rng(RNG_SEED + 8)
+    f = random_superfunction(rng, 1, 2)
+    assert len(f.terms) > 1
+    assert math.isnan(sf_max_dev(f, f.scale(math.nan)))
+    assert math.isnan(sf_max_dev(f.scale(math.nan), f))

@@ -132,3 +132,20 @@ def test_superadjoint_backward_error_catches_one_flipped_sign(monkeypatch, check
         (rec,) = [c for c in run_suite("hilbert", seed=0)["checks"] if c["check"] == check]
         verdicts.append(rec["passed"])
     assert verdicts == [True, False]
+
+
+def test_nan_from_fundamental_symmetry_fails_its_checks(monkeypatch):
+    # Python's max and min drop a NaN that follows a number; the checks
+    # fed by J must fail on a NaN result, not pass on the numbers before it
+    from superstar import hilbert
+
+    original = hilbert.fundamental_symmetry
+    broken = lambda f: original(f).scale(float("nan"))
+    monkeypatch.setattr(hilbert, "fundamental_symmetry", broken)
+    monkeypatch.setattr(verify, "fundamental_symmetry", broken)
+    checks = {c["check"]: c for c in run_suite("hilbert", seed=0)["checks"]}
+    for name in ("j-scalar-product-positivity", "fundamental-symmetry-square-sign",
+                 "fundamental-symmetry-preserves-pairing"):
+        assert checks[name]["passed"] is False, name
+        assert checks[name]["max_deviation"] is None, name
+    assert checks["j-scalar-product-positivity"]["min_value"] is None
