@@ -102,9 +102,24 @@ def _context_from_args(args: argparse.Namespace) -> DeformationContext:
     return DeformationContext(args.theta, args.m, args.n, sig)
 
 
+def _finite_or_null(node):
+    """node with every NaN and infinity, which JSON cannot hold, as None."""
+    if isinstance(node, float):
+        return node if math.isfinite(node) else None
+    if isinstance(node, dict):
+        return {k: _finite_or_null(v) for k, v in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_finite_or_null(v) for v in node]
+    return node
+
+
 def _emit(report: dict, json_out: str | None) -> None:
-    # a non-finite float would print as Infinity or NaN, which is not JSON
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        # a failed check may carry a NaN deviation: write every non-finite
+        # number as null; the walk would add ~2% to a large star output
+        text = json.dumps(_finite_or_null(report), sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
     if json_out:
         with open(json_out, "w", encoding="utf-8") as fh:

@@ -53,7 +53,6 @@ __all__ = [
     "ExpPolyFunction",
     "ExpPolyTerm",
     "ep_add_into",
-    "ep_equal",
     "ep_from_distinct",
     "ep_from_keys",
     "ep_integrate",
@@ -700,15 +699,6 @@ def sample_grid(d: int) -> np.ndarray:
     """Deterministic comparison grid: 64 points in [-1.5, 1.5]^d, fixed per dimension."""
     rng = np.random.default_rng(12345 + d)
     return rng.uniform(-1.5, 1.5, size=(64, d))
-
-
-def ep_equal(f: ExpPolyFunction, g: ExpPolyFunction, tol: float = 1e-10) -> bool:
-    """Structural equality of normal forms, else pointwise on the fixed grid."""
-    if f.d != g.d:
-        return False
-    if f == g:
-        return True
-    return ep_max_dev(f, g) <= tol
 
 
 def ep_max_dev(f: ExpPolyFunction, g: ExpPolyFunction) -> float:

@@ -417,7 +417,6 @@ def pentagon_check(qctx: QGroupContext, t_samples: int = 5, seed: int = 0,
     report["constant_legs_deviation"] = float(dev_const)
 
     triples = []
-    worst = 0.0
     for _ in range(t_samples):
         f1, f2, f3 = _sample_elements(qctx, rng, 3, z_kind="pw")
         T = tensor(qctx, [f1, f2, f3])
@@ -426,7 +425,7 @@ def pentagon_check(qctx: QGroupContext, t_samples: int = 5, seed: int = 0,
         ts = _t_triple(rng)
         dev = sf_max_dev(lhs.at(*ts), rhs.at(*ts))
         triples.append({"t": [round(t, 6) for t in ts], "deviation": float(dev)})
-        worst = worst_dev(worst, dev)
+    worst = worst_dev(0.0, *(s["deviation"] for s in triples))
     report["pentagon"] = triples
     report["max_deviation"] = float(worst)
     report["passed"] = bool(worst <= tol and dev_const <= tol)

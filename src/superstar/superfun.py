@@ -28,7 +28,6 @@ from .grassmann import GrassmannElement, eps
 __all__ = [
     "Superfunction",
     "grassmann_translate",
-    "sf_close",
     "sf_max_dev",
     "sintegrate",
     "smul",
@@ -311,7 +310,3 @@ def sf_max_dev(f: Superfunction, g: Superfunction) -> float:
         raise DimensionError("superspace mismatch")
     words = set(f.terms) | set(g.terms)
     return worst_dev(0.0, *(ep_max_dev(f.coefficient(w), g.coefficient(w)) for w in words))
-
-
-def sf_close(f: Superfunction, g: Superfunction, tol: float = 1e-10) -> bool:
-    return sf_max_dev(f, g) <= tol

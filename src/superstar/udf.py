@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DimensionError
 from .exppoly import ExpPolyFunction, worst_dev
 from .grassmann import GrassmannElement
+from .sampling import random_star_factor
 from .starprod import DeformationContext, star_general
 from .superfun import (
     Superfunction,
@@ -99,8 +100,6 @@ class ActionSpec:
 
     # -- sampling in the term class --------------------------------------------
     def sample(self, rng, count: int) -> list[Superfunction]:
-        from .sampling import random_star_factor
-
         d = 2 * self.ctx.m
         n = self.ctx.n
         out = []
@@ -286,8 +285,6 @@ def torus_vs_udf(ctx: DeformationContext) -> dict:
     report["generators"] = [name for name, _ in gens]
 
     relations = []
-    worst = 0.0
-    counterexample = None
     for name1, g1 in gens:
         for name2, g2 in gens:
             through_torus = _map_torus_element(g1 * g2, ctx, theta_torus, odd_scale)
@@ -296,9 +293,8 @@ def torus_vs_udf(ctx: DeformationContext) -> dict:
                                       _map_torus_element(g2, ctx, theta_torus, odd_scale))
             dev = sf_max_dev(through_torus, through_udf)
             relations.append({"pair": f"{name1}*{name2}", "deviation": float(dev)})
-            worst = worst_dev(worst, dev)
-            if not dev <= 1e-9 and counterexample is None:
-                counterexample = {"pair": f"{name1}*{name2}", "deviation": float(dev)}
+    worst = worst_dev(0.0, *(r["deviation"] for r in relations))
+    counterexample = next((r for r in relations if not r["deviation"] <= 1e-9), None)
     report["relations"] = relations
     report["max_deviation"] = float(worst)
     report["matched"] = counterexample is None

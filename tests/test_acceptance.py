@@ -21,8 +21,6 @@ suite report for the full analysis.
 import json
 import time
 
-import numpy as np
-
 import superstar.verify
 from superstar.cli import main as cli_main
 from superstar.verify import SUITE_NAMES, run_suite

@@ -134,11 +134,11 @@ def test_star_non_finite_result_exits_2(capsys):
         "(line 1, column 9)"]
 
 
-def test_emit_refuses_non_finite_floats(capsys):
-    # the backstop behind the checks above: no JSON with Infinity or NaN
-    with pytest.raises(ValueError):
-        cli._emit({"x": math.inf}, None)
-    assert capsys.readouterr().out == ""
+def test_emit_writes_non_finite_floats_as_null(capsys):
+    # a failed check may carry a NaN or infinite deviation anywhere in its
+    # report; the JSON never holds Infinity or NaN
+    cli._emit({"x": math.inf, "y": [1.5, math.nan, {"z": -math.inf}]}, None)
+    assert json.loads(capsys.readouterr().out) == {"x": None, "y": [1.5, None, {"z": None}]}
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +338,32 @@ def test_gw_verify_reports_honest_failure(capsys):
     assert rep["target_max_rel_dev"] > 1e-3
     assert rep["derived_max_rel_dev"] <= 1e-8
     assert "analysis" in rep
+
+
+def test_nan_in_one_gw_point_fails_with_the_whole_report(capsys, monkeypatch):
+    # the third action is the target-map action of the second point
+    from superstar import gwaction
+
+    original = gwaction.action_gw
+    calls = []
+
+    def third_is_nan(*args, **kwargs):
+        calls.append(None)
+        return math.nan if len(calls) == 3 else original(*args, **kwargs)
+
+    monkeypatch.setattr(gwaction, "action_gw", third_is_nan)
+    code, rep = run_json(capsys, "verify", "suite=gw")
+    assert code == 1
+    (target,) = [c for c in rep["checks"] if c["check"] == "target-coefficient-map-refuted"]
+    assert target["passed"] is False
+    assert target["points"][1]["rel_dev"] is None
+    assert target["points"][0]["rel_dev"] is not None
+
+    calls.clear()
+    code, rep = run_json(capsys, "gw", "verify")
+    assert code == 1
+    assert rep["points"][1]["target"]["rel_dev"] is None
+    assert rep["target_max_rel_dev"] is None
 
 
 def test_qgroup_pentagon(capsys):

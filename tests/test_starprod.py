@@ -31,7 +31,6 @@ from superstar.starprod import (
 from superstar.superfun import (
     Superfunction,
     grassmann_translate,
-    sf_close,
     sf_max_dev,
     sintegrate,
     smul,

@@ -11,7 +11,6 @@ from superstar.grassmann import GrassmannElement
 from superstar.superfun import (
     Superfunction,
     grassmann_translate,
-    sf_close,
     sf_max_dev,
     sintegrate,
     smul,
@@ -247,13 +246,6 @@ def test_chop_drops_noise_terms():
     chopped = g.chop()
     assert set(chopped.terms) == {0}
     assert chopped.terms[0].terms[0] is g.terms[0].terms[0]
-
-
-def test_sf_close():
-    f = Superfunction(1, 1, {1: gauss(1)})
-    g = f + Superfunction(1, 1, {1: ExpPolyFunction.const(1, 1e-13)})
-    assert sf_close(f, g, tol=1e-10)
-    assert not sf_close(f, g, tol=1e-16)
 
 
 def test_sf_max_dev_keeps_a_nan_word():

@@ -1,11 +1,13 @@
 """Verification-suite registry: dispatch, report schema, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from superstar import verify
+from superstar.grassmann import eps
 from superstar.hilbert import GradedOperator
 from superstar.verify import SUITE_NAMES, run_all, run_suite
 
@@ -35,8 +37,55 @@ def test_report_schema_and_json_safety():
 
 
 def test_check_with_no_cases_does_not_pass():
-    assert verify._check("empty", 0, 0.0, 1.0)["passed"] is False
-    assert verify._check("one", 1, 0.0, 1.0)["passed"] is True
+    # a generator is read once: each item is a case, the worst is the max
+    rec = verify._check("stream", (d for d in (0.25, 0.5, 0.0)), None, default=1.0)
+    assert (rec["cases"], rec["max_deviation"], rec["tolerance"], rec["passed"]) == (
+        3, 0.5, 1.0, True)
+    assert verify._check("strict", [0.25, 0.5], 0.3, default=1.0)["passed"] is False
+    empty = verify._check("empty", iter(()), None, default=1.0)
+    assert (empty["cases"], empty["passed"]) == (0, False)
+    # a NaN anywhere, or an infinity, is written as null and fails
+    for bad in (math.nan, math.inf):
+        for where in range(3):
+            devs = [0.0, 0.1, 0.2]
+            devs[where] = bad
+            rec = verify._check("bad", iter(devs), None, default=1.0)
+            assert (rec["cases"], rec["max_deviation"], rec["passed"]) == (3, None, False)
+
+
+@pytest.mark.parametrize("mutant, red", [
+    # the sign flipped whenever the left set is {1}
+    (lambda I, J: -eps(I, J) if I == 1 else eps(I, J),
+     ["graded-symmetry-on-disjoint-subsets", "disjoint-union-multiplicativity"]),
+    # a flipped zero is still zero, so the overlap check needs its own fault
+    (lambda I, J: eps(I, J) or 1, ["zero-on-overlapping-subsets"]),
+], ids=["flipped-sign", "nonzero-on-overlap"])
+def test_eps_checks_catch_a_wrong_sign(monkeypatch, mutant, red):
+    monkeypatch.setattr(verify, "eps", mutant)
+    rep = run_suite("eps", n=3)
+    assert [c["check"] for c in rep["checks"] if not c["passed"]] == red
+    assert all(c["max_deviation"] > 0 for c in rep["checks"] if c["check"] in red)
+
+
+@pytest.mark.parametrize("miss", [1.0, math.nan])
+def test_pentagon_record_fails_when_the_constant_legs_miss(monkeypatch, miss):
+    # the first comparison of pentagon_check is the all-constant case
+    from superstar import qgroup
+
+    original = qgroup.sf_max_dev
+    calls = []
+
+    def first_misses(f, g):
+        calls.append(None)
+        return miss if len(calls) == 1 else original(f, g)
+
+    monkeypatch.setattr(qgroup, "sf_max_dev", first_misses)
+    rep = run_suite("qgroup", seed=0)
+    (pentagon,) = [c for c in rep["checks"] if c["check"] == "pentagon-identity"]
+    assert pentagon["cases"] == 5
+    assert pentagon["max_deviation"] <= pentagon["tolerance"]
+    assert pentagon["passed"] is False
+    assert rep["passed"] is False
 
 
 def test_eps_universe_size_is_configurable():
