@@ -14,19 +14,19 @@ monomial exponent; (A, b) is the term's exponent key.
 
 Terms of one function share few exponent keys, so a function is stored by
 key: ``keys`` maps (A, b) to the polynomial {alpha: c} that multiplies
-exp(x^T A x + b.x), nonzero and in first-seen order.  Adding a term is a dict
+exp(x^T A x + b.x), nonzero and in first-seen order, and
+``ExpPolyFunction(d, keys)`` takes such a map over.  Adding a term is a dict
 update, and every operation works per key rather than per term:
 :func:`ep_mul_into` adds c * f * g into such a map, A and b once per key
 pair, and :func:`ep_add_into` adds c * f, so that a sum of products is built
-in one map and wrapped once by :func:`ep_from_keys`; ``eval`` takes one
-exponential per key,
+in one map and wrapped once; ``eval`` takes one exponential per key,
 :func:`ep_integrate_partial` computes the eigenvalues, inverse and Schur
 complement of the integrated block once per quadratic form A and the linear
-data once per key, and :meth:`ExpPolyFunction.affine` substitutes each key
-and each monomial exponent once.  ``terms`` is a read-only tuple of
-:class:`ExpPolyTerm` built once per function and cached, for serialization
-and for callers that want terms.  Equality ignores order, and only the JSON
-form sorts.
+data once per key, :meth:`ExpPolyFunction.affine` substitutes each key and
+each monomial exponent once, and the JSON form builds each key's matrix A
+once.  ``terms`` is a read-only tuple of :class:`ExpPolyTerm` built at first
+use and cached; no operation reads it.  Equality ignores order, and only the
+JSON form sorts.
 
 A kernel integral on a doubled space [u | z1 | z2] passes the kernel's
 coupling X and its exact inverse to :func:`ep_integrate_partial`, which is
@@ -54,7 +54,6 @@ __all__ = [
     "ExpPolyTerm",
     "ep_add_into",
     "ep_from_distinct",
-    "ep_from_keys",
     "ep_integrate",
     "ep_integrate_partial",
     "ep_mul",
@@ -94,22 +93,6 @@ class ExpPolyTerm:
     A_ut: tuple[complex, ...]
     b: tuple[complex, ...]
 
-    @property
-    def d(self) -> int:
-        return len(self.alpha)
-
-    def A_matrix(self) -> np.ndarray:
-        return _matrix_from_ut(self.A_ut, self.d)
-
-    @property
-    def key(self):
-        return (self.alpha, self.A_ut, self.b)
-
-    @property
-    def integrable(self) -> bool:
-        """Absolutely integrable: Re(A) negative definite."""
-        return _negative_definite(self.A_ut, self.d)
-
 
 def _negative_definite(A_ut: Sequence[complex], d: int) -> bool:
     if d == 0:
@@ -135,7 +118,7 @@ def _nonzero(keys: dict) -> dict:
 
 
 class ExpPolyFunction:
-    """Finite sum of :class:`ExpPolyTerm` on R^d, stored by exponent key.
+    """Finite sum c * x^alpha * exp(x^T A x + b.x) on R^d, stored by exponent key.
 
     ``keys`` maps each exponent key (A_ut, b) to its polynomial
     {alpha: coefficient}; every coefficient is nonzero, and keys and
@@ -144,24 +127,20 @@ class ExpPolyFunction:
     never changed in place; operations build new maps.
 
     ``terms`` is a read-only tuple of :class:`ExpPolyTerm`, one per
-    (key, alpha), built at first use and cached, for serialization and for
-    code that wants terms.  The operations read ``keys``.
+    (key, alpha), built at first use and cached, for code outside the
+    program that wants terms.  Every operation reads ``keys``.
     """
 
     __slots__ = ("d", "keys", "_terms")
 
-    def __init__(self, d: int, terms: Iterable[ExpPolyTerm] = ()):
-        """Sum ``terms`` per key in first-seen order; drop exact zeros."""
-        if d < 0:
-            raise ValueError("dimension must be >= 0")
-        keys: dict[tuple, dict[tuple, complex]] = {}
-        for t in terms:
-            if len(t.alpha) != d:
-                raise ValueError(f"term dimension {len(t.alpha)} != {d}")
-            poly = keys.setdefault((t.A_ut, t.b), {})
-            poly[t.alpha] = poly.get(t.alpha, 0j) + complex(t.c)
+    def __init__(self, d: int, keys: dict | None = None):
+        """Take over a {(A_ut, b): {alpha: c}} map, or none for zero.
+
+        The caller hands the map over and does not change it afterwards.
+        Exact zeros are dropped, so scaling by 0 or an underflow leaves none.
+        """
         self.d = d
-        self.keys = _nonzero(keys)
+        self.keys = _nonzero(keys) if keys else {}
         self._terms = None
 
     @property
@@ -176,7 +155,7 @@ class ExpPolyFunction:
 
     @classmethod
     def zero(cls, d: int) -> "ExpPolyFunction":
-        return ep_from_keys(d, {})
+        return cls(d)
 
     @classmethod
     def const(cls, d: int, c) -> "ExpPolyFunction":
@@ -193,7 +172,7 @@ class ExpPolyFunction:
             raise ValueError("bad exponent")
         zero_A = (0j,) * (d * (d + 1) // 2)
         zero_b = (0j,) * d
-        return ep_from_keys(d, {(zero_A, zero_b): {alpha: 0j + complex(c)}})
+        return cls(d, {(zero_A, zero_b): {alpha: 0j + complex(c)}})
 
     @classmethod
     def coordinate(cls, d: int, axis: int) -> "ExpPolyFunction":
@@ -207,14 +186,14 @@ class ExpPolyFunction:
         A = np.asarray(A, dtype=complex).reshape(d, d)
         bvec = np.zeros(d, dtype=complex) if b is None else np.asarray(b, dtype=complex)
         key = (_ut_from_matrix(A), tuple(complex(x) for x in bvec))
-        return ep_from_keys(d, {key: {(0,) * d: 0j + complex(c)}})
+        return cls(d, {key: {(0,) * d: 0j + complex(c)}})
 
     @classmethod
     def plane_wave(cls, d: int, k: Sequence[float], c=1.0) -> "ExpPolyFunction":
         """c * exp(i k.x) for a real wave vector k."""
         b = tuple(1j * complex(ki) for ki in k)
         zero_A = (0j,) * (d * (d + 1) // 2)
-        return ep_from_keys(d, {(zero_A, b): {(0,) * d: 0j + complex(c)}})
+        return cls(d, {(zero_A, b): {(0,) * d: 0j + complex(c)}})
 
     # -- ring structure ------------------------------------------------------
 
@@ -223,7 +202,7 @@ class ExpPolyFunction:
             if other.d != self.d:
                 raise ValueError(f"dimension mismatch: {self.d} vs {other.d}")
             keys = {key: dict(poly) for key, poly in self.keys.items()}
-            return ep_from_keys(self.d, ep_add_into(keys, other))
+            return ExpPolyFunction(self.d, ep_add_into(keys, other))
         return NotImplemented
 
     def __sub__(self, other):
@@ -234,7 +213,7 @@ class ExpPolyFunction:
 
     def scale(self, c) -> "ExpPolyFunction":
         c = complex(c)
-        return ep_from_keys(self.d, {
+        return ExpPolyFunction(self.d, {
             key: {alpha: c * v for alpha, v in poly.items()}
             for key, poly in self.keys.items()})
 
@@ -248,7 +227,7 @@ class ExpPolyFunction:
 
     def conj(self) -> "ExpPolyFunction":
         """Pointwise complex conjugate (the argument x is real)."""
-        return ep_from_keys(self.d, {
+        return ExpPolyFunction(self.d, {
             (tuple(z.conjugate() for z in A_ut), tuple(z.conjugate() for z in b)):
                 {alpha: c.conjugate() for alpha, c in poly.items()}
             for (A_ut, b), poly in self.keys.items()})
@@ -287,7 +266,7 @@ class ExpPolyFunction:
                         higher[j] += 1
                         higher = tuple(higher)
                         acc[higher] = acc.get(higher, 0j) + 2 * c * aij
-        return ep_from_keys(self.d, out)
+        return ExpPolyFunction(self.d, out)
 
     def affine(self, M, v) -> "ExpPolyFunction":
         """Exact substitution x -> M y + v, returning a function of y.
@@ -320,7 +299,7 @@ class ExpPolyFunction:
                 base_c = c * e
                 for expo, coeff in expansions[alpha].items():
                     acc[expo] = acc.get(expo, 0j) + base_c * coeff
-        return ep_from_keys(new_d, out)
+        return ExpPolyFunction(new_d, out)
 
     def translate(self, a) -> "ExpPolyFunction":
         """f(x) -> f(x + a)."""
@@ -358,24 +337,17 @@ class ExpPolyFunction:
 
     def to_json_dict(self) -> dict:
         """Terms sorted by alpha, then A and b as (re, im) pairs."""
-        terms = sorted(self.terms, key=lambda t: (
-            t.alpha,
-            tuple((z.real, z.imag) for z in t.A_ut),
-            tuple((z.real, z.imag) for z in t.b),
-        ))
-        return {
-            "d": self.d,
-            "terms": [
-                {
-                    "c": [t.c.real, t.c.imag],
-                    "alpha": list(t.alpha),
-                    "A": [[[complex(z).real, complex(z).imag] for z in row]
-                          for row in t.A_matrix().tolist()],
-                    "b": [[z.real, z.imag] for z in t.b],
-                }
-                for t in terms
-            ],
-        }
+        rows = []
+        for (A_ut, b), poly in self.keys.items():
+            order = (tuple((z.real, z.imag) for z in A_ut), tuple((z.real, z.imag) for z in b))
+            A = [[[complex(z).real, complex(z).imag] for z in row]
+                 for row in _matrix_from_ut(A_ut, self.d).tolist()]
+            b_json = [[z.real, z.imag] for z in b]
+            rows += [((alpha,) + order,
+                      {"c": [c.real, c.imag], "alpha": list(alpha), "A": A, "b": b_json})
+                     for alpha, c in poly.items()]
+        rows.sort(key=lambda row: row[0])
+        return {"d": self.d, "terms": [term for _, term in rows]}
 
     def __eq__(self, other):
         if not isinstance(other, ExpPolyFunction):
@@ -399,7 +371,7 @@ def _coefficient_sum(f: ExpPolyFunction) -> complex:
 
 def ep_mul(f: ExpPolyFunction, g: ExpPolyFunction) -> ExpPolyFunction:
     """Exact pointwise product f * g."""
-    return ep_from_keys(f.d, ep_mul_into({}, f, g))
+    return ExpPolyFunction(f.d, ep_mul_into({}, f, g))
 
 
 def ep_mul_into(acc: dict, f: ExpPolyFunction, g: ExpPolyFunction, c=1) -> dict:
@@ -429,19 +401,6 @@ def ep_add_into(acc: dict, f: ExpPolyFunction, c=1) -> dict:
     return acc
 
 
-def ep_from_keys(d: int, keys: dict) -> ExpPolyFunction:
-    """A function that takes over a {(A_ut, b): {alpha: c}} map.
-
-    The caller hands the map over and does not change it afterwards.  Exact
-    zeros are dropped, so scaling by 0 or an underflow leaves none.
-    """
-    out = ExpPolyFunction.__new__(ExpPolyFunction)
-    out.d = d
-    out.keys = _nonzero(keys)
-    out._terms = None
-    return out
-
-
 def ep_from_distinct(d: int, terms: Iterable[ExpPolyTerm]) -> ExpPolyFunction:
     """A function from terms whose (key, alpha) are already distinct.
 
@@ -452,7 +411,7 @@ def ep_from_distinct(d: int, terms: Iterable[ExpPolyTerm]) -> ExpPolyFunction:
     keys: dict[tuple, dict[tuple, complex]] = {}
     for t in kept:
         keys.setdefault((t.A_ut, t.b), {})[t.alpha] = t.c
-    out = ep_from_keys(d, keys)
+    out = ExpPolyFunction(d, keys)
     out._terms = kept
     return out
 
@@ -586,7 +545,7 @@ def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int], *,
     out: dict[tuple, dict[tuple, complex]] = {}
     for A_ut, by_b in groups.items():
         _integrate_form(A_ut, by_b, axes, keep, kernel, out)
-    return ep_from_keys(len(keep), out)
+    return ExpPolyFunction(len(keep), out)
 
 
 def _kernel_inverse(P: np.ndarray, X: np.ndarray, Q: np.ndarray,

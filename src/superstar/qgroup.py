@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassError, DimensionError, SingularityError
-from .exppoly import ExpPolyFunction, ep_from_keys, worst_dev
+from .exppoly import ExpPolyFunction, worst_dev
 from .grassmann import GrassmannElement
 from .hilbert import inner_l2
 from .starprod import DeformationContext, star, star_general
@@ -296,9 +296,9 @@ def _split_leg(qctx: QGroupContext, G: Superfunction, j: int, nlegs: int):
             for alpha, c in poly.items():
                 alpha_S = tuple(a if on else 0 for on, a in zip(on_j, alpha))
                 alpha_R = tuple(0 if on else a for on, a in zip(on_j, alpha))
-                R = Superfunction(D, nlegs * n, {wr: ep_from_keys(D, {key_R: {alpha_R: c}})})
+                R = Superfunction(D, nlegs * n, {wr: ExpPolyFunction(D, {key_R: {alpha_R: c}})})
                 S = Superfunction(D, nlegs * n,
-                                  {wj: ep_from_keys(D, {key_S: {alpha_S: 1 + 0j}})})
+                                  {wj: ExpPolyFunction(D, {key_S: {alpha_S: 1 + 0j}})})
                 pieces.append((R, S, sign))
     return pieces
 

@@ -42,13 +42,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import isfinite, pi
+from operator import add
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ClassError, DimensionError, ParameterRangeError, ParityError
-from .exppoly import (ExpPolyFunction, ExpPolyTerm, ep_add_into, ep_from_keys,
-                      ep_integrate_partial, ep_mul, ep_mul_into)
+from .exppoly import (ExpPolyFunction, _coefficient_sum, ep_add_into, ep_integrate_partial,
+                      ep_mul, ep_mul_into)
 from .grassmann import GrassmannElement, eps
 from .superfun import Superfunction
 
@@ -125,7 +126,7 @@ class DeformationContext:
             x1 = Superfunction.coordinate(2 * self.m, self.n, 0)
             x2 = Superfunction.coordinate(2 * self.m, self.n, self.m)
             comm = star(self, x1, x2) - star(self, x2, x1)
-            gamma = complex(sum(t.c for t in comm.body().terms))
+            gamma = _coefficient_sum(comm.body())
             sigma = gamma / (1j * self.theta)
             led["sigma"] = int(round(sigma.real))
         else:
@@ -135,7 +136,7 @@ class DeformationContext:
         for a in range(1, self.n + 1):
             xa = Superfunction.xi(2 * self.m, self.n, a)
             prod = star(self, xa, xa)
-            c_plus.append(complex(sum(t.c for t in prod.body().terms)))
+            c_plus.append(_coefficient_sum(prod.body()))
         led["c_plus"] = tuple(c_plus)
         return led
 
@@ -298,7 +299,8 @@ def star_general(f: Superfunction, g: Superfunction,
             ep_mul_into(integrands.setdefault(word, {}), left[wf], right[wg], c)
     for word, keys in integrands.items():
         ep_add_into(out.setdefault(word, {}),
-                    ep_integrate_partial(ep_from_keys(D, keys), range(f.m, D), kernel=kernel))
+                    ep_integrate_partial(ExpPolyFunction(D, keys), range(f.m, D),
+                                         kernel=kernel))
     return Superfunction.from_keys(f.m, f.n, out, naux)
 
 
@@ -315,13 +317,13 @@ def star(ctx: DeformationContext, f: Superfunction, g: Superfunction) -> Superfu
 
 
 def _is_poly(f: ExpPolyFunction) -> bool:
-    return all(all(z == 0 for z in t.A_ut) and all(z == 0 for z in t.b)
-               for t in f.terms)
+    return all(not any(A_ut) and not any(b) for A_ut, b in f.keys)
 
 
 def _is_plane_wave(f: ExpPolyFunction) -> bool:
-    return all(all(a == 0 for a in t.alpha) and all(z == 0 for z in t.A_ut)
-               and all(z.real == 0 for z in t.b) for t in f.terms)
+    return all(not any(A_ut) and all(z.real == 0 for z in b)
+               and not any(any(alpha) for alpha in poly)
+               for (A_ut, b), poly in f.keys.items())
 
 
 # The kernel convention e^{-(2i/theta) omega}: [x^mu, x^nu] = sigma i theta
@@ -335,16 +337,16 @@ def _oracle_even_pair(ff: ExpPolyFunction, gg: ExpPolyFunction, theta: float,
     d = ff.d
     lam = _SIGMA * 1j * theta / 2
     if _is_plane_wave(ff) and _is_plane_wave(gg):
-        out = []
-        for s in ff.terms:
-            for t in gg.terms:
-                k1 = np.asarray(s.b).imag
-                k2 = np.asarray(t.b).imag
-                u = float(k1 @ Om @ k2)
+        zero = (0,) * d
+        keys: dict = {}
+        for (A_ut, b1), p1 in ff.keys.items():
+            k1 = np.asarray(b1).imag
+            for (_, b2), p2 in gg.keys.items():
+                u = float(k1 @ Om @ np.asarray(b2).imag)
                 phase = complex(np.exp(-_SIGMA * 1j * theta * u / 2))
-                b = tuple(x + y for x, y in zip(s.b, t.b))
-                out.append(ExpPolyTerm(s.c * t.c * phase, (0,) * d, s.A_ut, b))
-        return ExpPolyFunction(d, out)
+                poly = keys.setdefault((A_ut, tuple(map(add, b1, b2))), {})
+                poly[zero] = poly.get(zero, 0j) + p1[zero] * p2[zero] * phase
+        return ExpPolyFunction(d, keys)
     if not ((_is_poly(ff) or _is_plane_wave(ff)) and (_is_poly(gg) or _is_plane_wave(gg))):
         raise ClassError("oracle supports polynomial or plane-wave even parts only")
     # bidifferential series; terminates because at least one side is polynomial

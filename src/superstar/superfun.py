@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionError, ParityError
-from .exppoly import (ExpPolyFunction, ep_add_into, ep_from_distinct, ep_from_keys, ep_max_dev,
+from .exppoly import (ExpPolyFunction, ep_add_into, ep_from_distinct, ep_max_dev,
                       ep_mul_into, worst_dev)
 from .grassmann import GrassmannElement, eps
 
@@ -71,8 +71,8 @@ class Superfunction:
     def from_keys(cls, m: int, n: int, words: Mapping[int, dict],
                   naux: int = 0) -> "Superfunction":
         """Take over one {(A_ut, b): {alpha: c}} map per word, each wrapped
-        once by :func:`~superstar.exppoly.ep_from_keys`."""
-        return cls(m, n, {w: ep_from_keys(m, keys) for w, keys in words.items()}, naux)
+        once as an :class:`~superstar.exppoly.ExpPolyFunction`."""
+        return cls(m, n, {w: ExpPolyFunction(m, keys) for w, keys in words.items()}, naux)
 
     @classmethod
     def one(cls, m: int, n: int) -> "Superfunction":

@@ -227,6 +227,11 @@ def _map_torus_element(e: SupertorusElement, ctx: DeformationContext,
     return out
 
 
+def _first_coefficient(f: ExpPolyFunction) -> complex:
+    """The coefficient of f's first term, in storage order."""
+    return next(c for poly in f.keys.values() for c in poly.values())
+
+
 def torus_vs_udf(ctx: DeformationContext) -> dict:
     """Compare the finitely presented supertorus with the deformed
     trigonometric algebra on all generator pairs.
@@ -254,8 +259,8 @@ def torus_vs_udf(ctx: DeformationContext) -> dict:
         uv = udf_product(spec, fU, fV)
         vu = udf_product(spec, fV, fU)
         word = 0
-        ratio = (vu.coefficient(word).terms[0].c
-                 / uv.coefficient(word).terms[0].c)
+        ratio = (_first_coefficient(vu.coefficient(word))
+                 / _first_coefficient(uv.coefficient(word)))
         residual = abs(ratio - np.exp(-2j * np.pi * theta_torus))
         report["uv_phase_residual"] = float(residual)
     else:

@@ -10,7 +10,7 @@ from scipy import integrate as sint
 from superstar.errors import DivergenceError
 from superstar.exppoly import (
     ExpPolyFunction,
-    ExpPolyTerm,
+    _ut_from_matrix,
     ep_add_into,
     ep_from_distinct,
     ep_integrate,
@@ -57,7 +57,7 @@ def quad_oracle(f: ExpPolyFunction, lim: float = 30.0) -> complex:
 def random_integrable(rng, d: int, nterms: int = 1, *, max_deg: int = 2,
                       imag_quad: float = 0.3) -> ExpPolyFunction:
     """Random absolutely integrable function: Re(A) strictly negative definite."""
-    terms = []
+    keys = {}
     for _ in range(nterms):
         L = rng.normal(size=(d, d)) * 0.5
         S = rng.normal(size=(d, d)) * imag_quad
@@ -65,9 +65,15 @@ def random_integrable(rng, d: int, nterms: int = 1, *, max_deg: int = 2,
         b = rng.normal(size=d) + 1j * rng.normal(size=d)
         alpha = tuple(int(a) for a in rng.integers(0, max_deg + 1, size=d))
         c = complex(rng.normal(), rng.normal())
-        from superstar.exppoly import _ut_from_matrix  # test-local shortcut
-        terms.append(ExpPolyTerm(c, alpha, _ut_from_matrix(A), tuple(map(complex, b))))
-    return ExpPolyFunction(d, terms)
+        poly = keys.setdefault((_ut_from_matrix(A), tuple(map(complex, b))), {})
+        poly[alpha] = poly.get(alpha, 0j) + c
+    return ExpPolyFunction(d, keys)
+
+
+def coefficients(f: ExpPolyFunction) -> dict:
+    """{(alpha, A_ut, b): c}, one entry per term of f."""
+    return {(alpha, A_ut, b): c for (A_ut, b), poly in f.keys.items()
+            for alpha, c in poly.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +139,14 @@ def test_fresnel_with_coupled_real_direction():
 
 
 def test_integrability_flags():
-    assert ExpPolyFunction.gaussian(1, [[-2.0]]).terms[0].integrable
+    assert ExpPolyFunction.gaussian(1, [[-2.0]]).integrable
     # e^{i x^2} is not absolutely integrable, but its Fresnel limit exists
     f = ExpPolyFunction.gaussian(1, [[1j]])
-    assert not f.terms[0].integrable
+    assert not f.integrable
     assert abs(ep_integrate(f) - math.sqrt(math.pi) * np.exp(1j * math.pi / 4)) < 1e-12
     # the constant 1 is neither
     one = ExpPolyFunction.one(1)
-    assert not one.terms[0].integrable
+    assert not one.integrable
     with pytest.raises(DivergenceError):
         ep_integrate(one)
 
@@ -177,7 +183,7 @@ def test_integral_of_derivative_vanishes():
 
 
 def _scale_of(f):
-    return max((abs(t.c) for t in f.terms), default=1.0)
+    return max(map(abs, coefficients(f).values()), default=1.0)
 
 
 def test_partial_integration_consistency():
@@ -208,21 +214,21 @@ def test_partial_integration_pointwise_against_quadrature():
 def _keyed_integrand(rng, d: int, nkeys: int) -> ExpPolyFunction:
     """Several terms on each of ``nkeys`` exponent keys; the last key reuses
     the first key's quadratic form with another linear form."""
-    keys = [(t.A_ut, t.b) for t in random_integrable(rng, d, nkeys - 1).terms]
+    keys = list(random_integrable(rng, d, nkeys - 1).keys)
     keys.append((keys[0][0], tuple(map(complex, rng.normal(size=d) + 1j * rng.normal(size=d)))))
-    terms = []
-    for A_ut, b in keys:
+    out = {}
+    for key in keys:
+        poly = out.setdefault(key, {})
         for _ in range(int(rng.integers(2, 5))):
             alpha = tuple(int(a) for a in rng.integers(0, 3, size=d))
-            terms.append(ExpPolyTerm(complex(rng.normal(), rng.normal()), alpha, A_ut, b))
-    return ExpPolyFunction(d, terms)
+            poly[alpha] = poly.get(alpha, 0j) + complex(rng.normal(), rng.normal())
+    return ExpPolyFunction(d, out)
 
 
 def _max_rel_coefficient_dev(f: ExpPolyFunction, g: ExpPolyFunction) -> float:
     """Same keys required; then the largest coefficient deviation relative to
     the largest coefficient."""
-    cf = {t.key: t.c for t in f.terms}
-    cg = {t.key: t.c for t in g.terms}
+    cf, cg = coefficients(f), coefficients(g)
     assert cf.keys() == cg.keys()
     top = max(abs(c) for c in cf.values())
     return max(abs(cf[k] - cg[k]) for k in cf) / top
@@ -233,11 +239,14 @@ def test_keyed_reduction_equals_termwise_reduction(d, axes):
     rng = np.random.default_rng([41, d, len(axes)])
     for nkeys in (2, 3, 4):
         f = _keyed_integrand(rng, d, nkeys)
-        assert len({(t.A_ut, t.b) for t in f.terms}) == nkeys
-        assert len(f.terms) > nkeys
+        assert len(f.keys) == nkeys
+        assert len(coefficients(f)) > nkeys
         whole = ep_integrate_partial(f, axes)
-        singles = [ep_integrate_partial(ExpPolyFunction(d, [t]), axes) for t in f.terms]
-        termwise = ExpPolyFunction(whole.d, [t for g in singles for t in g.terms])
+        termwise = {}
+        for (alpha, A_ut, b), c in coefficients(f).items():
+            single = ExpPolyFunction(d, {(A_ut, b): {alpha: c}})
+            ep_add_into(termwise, ep_integrate_partial(single, axes))
+        termwise = ExpPolyFunction(whole.d, termwise)
         assert _max_rel_coefficient_dev(whole, termwise) <= 1e-12, (nkeys, axes)
 
 
@@ -274,13 +283,12 @@ def test_mul_merges_duplicate_keys():
 def random_exact_term(rng, d: int) -> ExpPolyFunction:
     """Term with small-integer data: float ops on it are exact, so structural
     equality of reassociated products is meaningful."""
-    from superstar.exppoly import _ut_from_matrix
     A = rng.integers(-2, 3, size=(d, d)).astype(float)
     A = (A + A.T) / 2 + 1j * 0.0
     b = rng.integers(-2, 3, size=d).astype(complex)
     alpha = tuple(int(a) for a in rng.integers(0, 2, size=d))
     c = complex(int(rng.integers(-3, 4)) or 1)
-    return ExpPolyFunction(d, [ExpPolyTerm(c, alpha, _ut_from_matrix(A), tuple(b))])
+    return ExpPolyFunction(d, {(_ut_from_matrix(A), tuple(b)): {alpha: c}})
 
 
 def test_mul_commutative_associative_structural():
@@ -411,13 +419,14 @@ def test_terms_view_round_trips_and_is_cached():
     rng = np.random.default_rng(43)
     for d in (1, 2, 3):
         f = _keyed_integrand(rng, d, 3) + random_integrable(rng, d, nterms=2)
-        assert ExpPolyFunction(d, f.terms) == f
+        keys = {}
+        for t in f.terms:
+            keys.setdefault((t.A_ut, t.b), {})[t.alpha] = t.c
+        assert ExpPolyFunction(d, keys) == f
         assert f.terms is f.terms
         # one view term per (key, alpha), read from the keyed storage
         assert len(f.terms) == sum(len(poly) for poly in f.keys.values())
-        assert {t.key: t.c for t in f.terms} == {
-            (alpha, A_ut, b): c for (A_ut, b), poly in f.keys.items()
-            for alpha, c in poly.items()}
+        assert {(t.alpha, t.A_ut, t.b): t.c for t in f.terms} == coefficients(f)
     # terms handed to ep_from_distinct are the view: they keep their identity
     kept = f.terms[1:]
     assert all(a is b for a, b in zip(ep_from_distinct(f.d, kept).terms, kept))
@@ -428,9 +437,14 @@ def test_json_keeps_sorted_term_order():
     # the keys and exponents were first seen in
     rng = np.random.default_rng(47)
     f = _keyed_integrand(rng, 2, 3)
-    shuffled = ExpPolyFunction(2, [f.terms[i] for i in rng.permutation(len(f.terms))])
-    want = sorted(((t.alpha, tuple((z.real, z.imag) for z in t.A_ut),
-                    tuple((z.real, z.imag) for z in t.b)) for t in f.terms))
+    terms = list(coefficients(f).items())
+    shuffled = {}
+    for i in rng.permutation(len(terms)):
+        (alpha, A_ut, b), c = terms[i]
+        shuffled.setdefault((A_ut, b), {})[alpha] = c
+    shuffled = ExpPolyFunction(2, shuffled)
+    want = sorted(((alpha, tuple((z.real, z.imag) for z in A_ut),
+                    tuple((z.real, z.imag) for z in b)) for (alpha, A_ut, b), _ in terms))
     for g in (f, shuffled):
         got = [(tuple(t["alpha"]),
                 tuple(tuple(z) for i, row in enumerate(t["A"]) for z in row[i:]),

@@ -4,11 +4,13 @@ The Berezin-sector dual route here is a left-multiplication operator oracle
 (wedge plus scaled odd derivative) that shares no code with the kernel engine.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superstar import exppoly, starprod, superfun
+from superstar import exppoly, starprod
 from superstar.errors import ClassError, DimensionError, DivergenceError, ParityError
 from superstar.exppoly import ExpPolyFunction, ep_max_dev
 from superstar.grassmann import GrassmannElement, eps
@@ -595,11 +597,15 @@ def test_products_build_each_output_coefficient_once(monkeypatch, m, n):
     rng = np.random.default_rng([83, m, n])
     f, g = _dense_factor(rng, ctx), _dense_factor(rng, ctx)
     built = {}
-    for module in (exppoly, starprod, superfun):
-        def counting(d, keys, _module=module.__name__, _orig=module.ep_from_keys):
-            built[_module] = built.get(_module, 0) + 1
-            return _orig(d, keys)
-        monkeypatch.setattr(module, "ep_from_keys", counting)
+    init = ExpPolyFunction.__init__
+
+    def counting(self, d, keys=None):
+        # constructions counted by the module that calls ExpPolyFunction(...)
+        module = sys._getframe(1).f_globals["__name__"]
+        built[module] = built.get(module, 0) + 1
+        init(self, d, keys)
+
+    monkeypatch.setattr(ExpPolyFunction, "__init__", counting)
 
     def forbidden(*args):
         raise AssertionError("a product added or scaled a coefficient")
@@ -741,6 +747,12 @@ def test_associativity_catches_dropped_schur_block(monkeypatch):
     assert worst > 1e-10
 
 
+def _coefficients(f: ExpPolyFunction) -> dict:
+    """{(alpha, A_ut, b): c}, one entry per term of f."""
+    return {(alpha, A_ut, b): c for (A_ut, b), poly in f.keys.items()
+            for alpha, c in poly.items()}
+
+
 def _pair_by_pair(ctx, f, g):
     """f * g with one kernel integral per word pair, summed per output word."""
     D, (M1, M2), kernel = starprod._kernel_space(f.m, ctx.even_blocks())
@@ -779,11 +791,12 @@ def test_one_integral_per_word_equals_sum_of_pair_integrals(n, theta, kind):
         want, pairs = _pair_by_pair(ctx, f, g)
         shared += sum(k - 1 for k in pairs.values())
         got = star(ctx, f, g)
-        top = max(abs(t.c) for fn in want.values() for t in fn.terms)
+        top = max(abs(c) for fn in want.values() for poly in fn.keys.values()
+                  for c in poly.values())
         dev = 0.0
         for word in set(want) | set(got.terms):
-            a = {t.key: t.c for t in got.coefficient(word).terms}
-            b = {t.key: t.c for t in want[word].terms} if word in want else {}
+            a = _coefficients(got.coefficient(word))
+            b = _coefficients(want[word]) if word in want else {}
             dev = max(dev, max(abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys()))
         assert dev <= 1e-12 * top
     assert shared > 0  # some output word did receive several pairs

@@ -118,9 +118,9 @@ def test_trig_class_closed_under_deformation():
     a, b = spec.sample(rng, 2)
     prod = udf_product(spec, a, b)
     for word, fn in prod.terms.items():
-        for term in fn.terms:
-            assert np.allclose(np.asarray(term.A_matrix()), 0)
-            lattice = np.array([v / (2j * np.pi) for v in term.b])
+        for A_ut, b in fn.keys:
+            assert np.allclose(np.asarray(A_ut), 0)
+            lattice = np.array([v / (2j * np.pi) for v in b])
             assert np.max(np.abs(lattice - np.round(lattice.real))) < 1e-9
 
 
