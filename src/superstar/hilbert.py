@@ -96,37 +96,14 @@ class FockSuperfunction:
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def zero(cls, m: int, r: int, s: int) -> "FockSuperfunction":
-        return cls(m, r, s, Superfunction.zero(m, r + s))
-
-    @classmethod
     def one(cls, m: int, r: int, s: int) -> "FockSuperfunction":
         return cls(m, r, s, Superfunction.one(m, r + s))
-
-    @classmethod
-    def xi(cls, m: int, r: int, s: int, index: int) -> "FockSuperfunction":
-        if not 1 <= index <= r:
-            raise ValueError(f"xi index {index} not in 1..{r}")
-        return cls(m, r, s, Superfunction.xi(m, r + s, index))
 
     @classmethod
     def zeta(cls, m: int, r: int, s: int, index: int) -> "FockSuperfunction":
         if not 1 <= index <= s:
             raise ValueError(f"zeta index {index} not in 1..{s}")
         return cls(m, r, s, Superfunction.xi(m, r + s, r + index))
-
-    # -- algebra ------------------------------------------------------------
-    def _wrap(self, fun: Superfunction) -> "FockSuperfunction":
-        return FockSuperfunction(self.m, self.r, self.s, fun)
-
-    def __add__(self, other: "FockSuperfunction") -> "FockSuperfunction":
-        return self._wrap(self.fun + other.fun)
-
-    def __sub__(self, other: "FockSuperfunction") -> "FockSuperfunction":
-        return self._wrap(self.fun - other.fun)
-
-    def scale(self, c) -> "FockSuperfunction":
-        return self._wrap(self.fun.scale(c))
 
 
 def _embed_with_conjugates(phi: FockSuperfunction, naux: int,

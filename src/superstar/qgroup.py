@@ -398,7 +398,9 @@ def pentagon_check(qctx: QGroupContext, t_samples: int = 5, seed: int = 0,
 
     Also checks the exactness of the all-constant case and the
     superunitarity of W with respect to the graded L^2(G' x G') pairing
-    (pointwise in t after the measure-preserving shift t1 -> t1 + t2).
+    (pointwise in t after the measure-preserving shift t1 -> t1 + t2) at
+    three sampled (t1, t2) slices, listed under ``superunitarity["slices"]``
+    with their worst as its ``deviation``.
     Raises ValueError for ``t_samples < 1``, which would pass on nothing."""
     if t_samples < 1:
         raise ValueError(f"t_samples must be >= 1, got {t_samples}")
@@ -436,7 +438,7 @@ def pentagon_check(qctx: QGroupContext, t_samples: int = 5, seed: int = 0,
     G = tensor(qctx, [g1, g2])
     WF = w_apply(qctx, F, 0, 1)
     WG = w_apply(qctx, G, 0, 1)
-    devs = []
+    slices = []
     for _ in range(3):
         t1 = float(rng.uniform(0.4, 1.2) * rng.choice([-1.0, 1.0]))
         t2 = float(rng.uniform(0.4, 1.2) * rng.choice([-1.0, 1.0]))
@@ -446,12 +448,14 @@ def pentagon_check(qctx: QGroupContext, t_samples: int = 5, seed: int = 0,
         # variables on leg 1 carries no modular factor
         rhs_val = complex(inner_l2(F.at(t1 + t2, t2), G.at(t1 + t2, t2)))
         scale = max(1.0, abs(rhs_val))
-        devs.append(abs(lhs_val - rhs_val) / scale)
-    dev_unitary = float(worst_dev(*devs))
+        slices.append({"t": [round(t1, 6), round(t2, 6)],
+                       "deviation": float(abs(lhs_val - rhs_val) / scale)})
+    dev_unitary = float(worst_dev(*(s["deviation"] for s in slices)))
     report["superunitarity"] = {
         "deviation": dev_unitary,
         "modular_weight": 0.0,
         "passed": bool(dev_unitary <= tol),
+        "slices": slices,
     }
     report["passed"] = bool(report["passed"]
                             and report["superunitarity"]["passed"])

@@ -540,10 +540,11 @@ def verify_udf(*, tol: float | None = None, seed: int = 0) -> dict:
             devs.append(sf_max_dev(lhs, rhs))
         checks.append(_check(f"associativity-{tag}", devs, tol, default=1e-10))
 
-    bridge = torus_vs_udf(ctx)
+    bridge_tol = _tolerance(tol, 1e-9)
+    bridge = torus_vs_udf(ctx, bridge_tol)
     checks.append(_check("supertorus-generator-bridge",
                          [r["deviation"] for r in bridge["relations"]],
-                         tol, default=1e-9,
+                         bridge_tol, default=1e-9,
                          matched=bool(bridge["matched"]),
                          theta_torus=float(bridge["theta_torus"]),
                          odd_scale=float(bridge["odd_scale"]),
@@ -666,9 +667,11 @@ def verify_qgroup(*, tol: float | None = None, seed: int = 0) -> dict:
                       samples=rep["pentagon"])
     # the all-constant legs are no sampled case, but their miss fails the check
     pentagon["passed"] = bool(pentagon["passed"] and const_dev <= pentagon["tolerance"])
-    unitary = _check("superunitarity", [rep["superunitarity"]["deviation"]],
+    slices = rep["superunitarity"]["slices"]
+    unitary = _check("superunitarity", (s["deviation"] for s in slices),
                      tol, default=1e-8,
-                     modular_weight=float(rep["superunitarity"]["modular_weight"]))
+                     modular_weight=float(rep["superunitarity"]["modular_weight"]),
+                     samples=slices)
     return _suite_report("qgroup", [pentagon, unitary],
                          context={"m": qctx.m, "n": qctx.n,
                                   "signature": [int(p) for p in qctx.odd_signature],

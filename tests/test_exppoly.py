@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as sint
 
+from superstar import cli
 from superstar.errors import DivergenceError
 from superstar.exppoly import (
     ExpPolyFunction,
@@ -21,6 +22,9 @@ from superstar.exppoly import (
     worst_dev,
 )
 from superstar.sampling import random_even
+from superstar.starprod import DeformationContext, star, star_oracle
+from superstar.superfun import Superfunction, sf_max_dev
+from superstar.udf import torus_vs_udf
 
 RNG = np.random.default_rng(20260817)
 
@@ -458,3 +462,23 @@ def test_worst_dev_keeps_a_nan_wherever_it_comes():
     assert worst_dev(1.0, math.inf) == math.inf
     for devs in [(0.0, math.nan), (math.nan, 1.0), (1.0, math.nan, 2.0)]:
         assert math.isnan(worst_dev(*devs)), devs
+
+
+def test_no_program_path_reads_the_terms_view(monkeypatch, capsys):
+    # every operation reads the keyed storage; the view is for outside code
+    def refuse(self):
+        raise AssertionError("a program path read the terms view")
+
+    monkeypatch.setattr(ExpPolyFunction, "terms", property(refuse))
+    ctx = DeformationContext(0.7, 1, 2, (1, 1))
+    assert ctx.ledger["sigma"] == -1
+    x1, x2 = (Superfunction.coordinate(2, 2, axis) for axis in (0, 1))
+    poly = x1 * x1 + Superfunction.xi(2, 2, 1) * x2
+    waves = [Superfunction.from_even(ExpPolyFunction.plane_wave(2, k, c), 2)
+             for k, c in (([1.0, -0.5], 0.5 + 1j), ([0.3, 2.0], -1.5))]
+    wave = waves[0] + waves[1]
+    for f, g in ((poly, x2), (wave, waves[1]), (wave, poly)):
+        assert sf_max_dev(star_oracle(ctx, f, g), star(ctx, f, g)) < 1e-12
+    assert cli.main(["star", "exp(-x1^2-x2^2)*xi1 + x1 star x2", "--m", "1", "--n", "1"]) == 0
+    assert "terms" in capsys.readouterr().out
+    assert torus_vs_udf(ctx)["matched"]

@@ -169,3 +169,13 @@ def test_torus_vs_udf_trivial_odd_sector():
     rep = torus_vs_udf(DeformationContext(0.5, 1, 0, (0, 0)))
     assert rep["generators"] == ["U1", "V1"]
     assert all(not g.startswith("X") for g in rep["generators"])
+
+
+def test_torus_vs_udf_judges_pairs_at_the_given_tolerance():
+    # the bridge misses by rounding only, so a tolerance below it names a pair
+    rep = torus_vs_udf(CTX, 1e-17)
+    assert rep["matched"] is False
+    pair = rep["counterexample"]
+    assert pair is not None and pair in rep["relations"]
+    assert not pair["deviation"] <= 1e-17
+    assert rep["max_deviation"] < 1e-10

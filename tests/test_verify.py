@@ -88,6 +88,38 @@ def test_pentagon_record_fails_when_the_constant_legs_miss(monkeypatch, miss):
     assert rep["passed"] is False
 
 
+def test_superunitarity_record_counts_each_slice():
+    rep = run_suite("qgroup", seed=0)
+    (unitary,) = [c for c in rep["checks"] if c["check"] == "superunitarity"]
+    assert unitary["cases"] == 3
+    assert len(unitary["samples"]) == 3
+    assert all(len(s["t"]) == 2 for s in unitary["samples"])
+    assert unitary["max_deviation"] == max(s["deviation"] for s in unitary["samples"])
+    assert unitary["passed"]
+
+
+def test_nan_in_one_superunitarity_slice_fails_its_record(monkeypatch):
+    # pentagon_check calls inner_l2 twice per superunitarity slice: the
+    # third call is the second slice's left side
+    from superstar import qgroup
+
+    original = qgroup.inner_l2
+    calls = []
+
+    def third_is_nan(f, g):
+        calls.append(None)
+        return math.nan if len(calls) == 3 else original(f, g)
+
+    monkeypatch.setattr(qgroup, "inner_l2", third_is_nan)
+    rep = run_suite("qgroup", seed=0)
+    (unitary,) = [c for c in rep["checks"] if c["check"] == "superunitarity"]
+    assert unitary["cases"] == 3
+    assert math.isnan(unitary["samples"][1]["deviation"])
+    assert unitary["max_deviation"] is None
+    assert unitary["passed"] is False
+    assert rep["passed"] is False
+
+
 def test_eps_universe_size_is_configurable():
     rep3 = run_suite("eps", n=3)
     rep4 = run_suite("eps", n=4)
@@ -120,6 +152,11 @@ def test_tolerance_override_is_applied():
         assert [c["tolerance"] for c in strict["checks"]] == [1e-16] * len(strict["checks"])
         if suite == "hilbert":
             assert not strict["passed"]
+        if suite == "udf":
+            # the bridge judges its pairs at the record's tolerance too
+            (bridge,) = [c for c in strict["checks"]
+                         if c["check"] == "supertorus-generator-bridge"]
+            assert bridge["matched"] is bridge["passed"] is False
 
 
 def test_ledger_constants_embedded():
