@@ -600,8 +600,10 @@ def _integrate_form(A_ut: tuple, by_b: Mapping[tuple, Mapping[tuple, complex]],
         scale = max(1.0, float(np.max(np.abs(mu))))
         degenerate = np.min(np.abs(mu)) <= _EIG_TOL * scale
     if np.max(re_eigs) > _EIG_TOL * scale or degenerate:
-        raise DivergenceError(
-            f"exponent neither integrable nor Fresnel on integrated block: A_ut={A_ut!r}")
+        why = (f"smallest |eigenvalue| {np.min(np.abs(mu)):.3g}" if degenerate
+               else f"largest eigenvalue of Re A {np.max(re_eigs):.3g}")
+        raise DivergenceError(f"exponent neither integrable nor Fresnel on the "
+                              f"integrated block of size {ell}: {why}")
     Auu = A[np.ix_(keep, keep)]
     Auy = A[np.ix_(keep, axes)]
     if kernel is None:

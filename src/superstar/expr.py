@@ -3,20 +3,22 @@
 Grammar (whitespace-insensitive, case-sensitive)::
 
     expr   := ['-'] term (('+' | '-') term)*
-    term   := factor (('*' | 'star') factor)*
-    factor := NUMBER | 'i' | x<k> | xi<k>
-            | 'exp' '(' poly ')' | '(' expr ')'
-    poly   := ['-'] monomial (('+' | '-') monomial)*
+    term   := power (('*' | 'star') power)*
+    power  := factor ['^' NUMBER]
+    factor := NUMBER | 'i' | x<k> | xi<k> | 'exp' '(' expr ')' | '(' expr ')'
 
 where ``NUMBER`` is a decimal literal with optional exponent and optional
 trailing ``i`` (``2``, ``0.5``, ``1e-3``, ``2i``, ``0.25i``), ``x<k>`` is the
 k-th even coordinate (1-based, k up to twice the number of symplectic pairs of
-the evaluation context), ``xi<k>`` the k-th odd generator, and a ``monomial``
-inside ``exp`` is a product of at most two even coordinates with an optional
-numeric coefficient (``-x1^2``, ``0.5*x1*x2``, ``2i*x2``, ``0.25``).  ``*`` is
+the evaluation context) and ``xi<k>`` the k-th odd generator.  Only a
+coordinate takes a power, and only 1 or 2: ``x1^2`` is ``x1 * x1``.  ``*`` is
 the pointwise (supercommutative) product and ``star`` the deformed product of
 the evaluation context; they share one precedence level and associate to the
-left.
+left.  The argument of ``exp`` is a sum of monomials of degree at most 2 in
+the even coordinates, written with ``+``, ``-``, a leading minus and
+parentheses; a monomial is a product of numbers, ``i``, coordinates and their
+powers (``-x1^2``, ``0.5*x1*x2``, ``2i*x2``, ``0.25``,
+``-(x1^2 + x2^2)``).
 
 ``parse`` builds a position-carrying AST, ``print_expression`` renders it back
 to canonical text, and ``evaluate`` turns it into a
@@ -51,7 +53,8 @@ __all__ = [
     "Literal",
     "Coordinate",
     "OddGenerator",
-    "ExpQuadratic",
+    "Pow",
+    "Exp",
     "Neg",
     "Add",
     "Sub",
@@ -173,20 +176,6 @@ class OddGenerator(Node):
 
 
 @dataclass(frozen=True)
-class ExpQuadratic(Node):
-    """exp of a polynomial of degree at most 2 in the even coordinates.
-
-    ``quad`` maps pairs (mu, nu) with mu <= nu (1-based) to coefficients,
-    ``lin`` maps single indices, and ``const`` is the scalar summand; all are
-    stored as sorted tuples so equal exponents compare equal.
-    """
-
-    quad: tuple[tuple[tuple[int, int], complex], ...] = ()
-    lin: tuple[tuple[int, complex], ...] = ()
-    const: complex = 0j
-
-
-@dataclass(frozen=True)
 class Neg(Node):
     operand: Node = None  # type: ignore[assignment]
 
@@ -213,6 +202,17 @@ class Mul(Node):
 class StarOp(Node):
     lhs: Node = None  # type: ignore[assignment]
     rhs: Node = None  # type: ignore[assignment]
+
+
+@dataclass(frozen=True)
+class Pow(Node):
+    base: Node = None  # type: ignore[assignment]
+    power: int = 1          # 1 or 2; the base is a Coordinate
+
+
+@dataclass(frozen=True)
+class Exp(Node):
+    operand: Node = None  # type: ignore[assignment]
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +258,27 @@ class _Parser:
         return node
 
     def parse_term(self) -> Node:
-        node = self.parse_factor()
+        node = self.parse_power()
         while True:
             tok = self.here
             if tok.kind == "*":
                 self.advance()
-                node = Mul(node, self.parse_factor(), line=tok.line, col=tok.col)
+                node = Mul(node, self.parse_power(), line=tok.line, col=tok.col)
             elif tok.kind == "name" and tok.text == "star":
                 self.advance()
-                node = StarOp(node, self.parse_factor(), line=tok.line, col=tok.col)
+                node = StarOp(node, self.parse_power(), line=tok.line, col=tok.col)
             else:
                 return node
+
+    def parse_power(self) -> Node:
+        node = self.parse_factor()
+        if self.here.kind != "^":
+            return node
+        caret = self.advance()
+        p = self.expect("number", "an integer power")
+        if not isinstance(node, Coordinate) or p.value not in (1, 2):
+            raise ExprSyntaxError("a power is x<k>^1 or x<k>^2", caret.line, caret.col)
+        return Pow(node, int(p.value.real), line=node.line, col=node.col)
 
     def parse_factor(self) -> Node:
         tok = self.here
@@ -287,7 +297,8 @@ class _Parser:
             if tok.text == "exp":
                 self.advance()
                 self.expect("(", "'(' after exp")
-                node = self.parse_poly(tok)
+                node = Exp(self.parse_expr(), line=tok.line, col=tok.col)
+                _quadratic(node)
                 self.expect(")", "')'")
                 return node
             mo = _NAME_RE.match(tok.text)
@@ -304,104 +315,6 @@ class _Parser:
         got = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ExprSyntaxError(f"expected a factor, found {got}", tok.line, tok.col)
 
-    # -- polynomial level (inside exp) ------------------------------------
-
-    def parse_poly(self, head: _Token) -> ExpQuadratic:
-        quad: dict[tuple[int, int], complex] = {}
-        lin: dict[int, complex] = {}
-        const = 0j
-        sign = 1.0
-        if self.here.kind == "-":
-            self.advance()
-            sign = -1.0
-        while True:
-            coeff, axes = self.parse_monomial()
-            coeff *= sign
-            if len(axes) == 2:
-                key = (min(axes), max(axes))
-                quad[key] = quad.get(key, 0j) + coeff
-            elif len(axes) == 1:
-                lin[axes[0]] = lin.get(axes[0], 0j) + coeff
-            else:
-                const += coeff
-            tok = self.here
-            if tok.kind == "+":
-                self.advance()
-                sign = 1.0
-            elif tok.kind == "-":
-                self.advance()
-                sign = -1.0
-            else:
-                break
-        if not all(map(cmath.isfinite, (*quad.values(), *lin.values(), const))):
-            raise ExpressionError("a coefficient inside exp is not a finite float",
-                                  head.line, head.col)
-        return ExpQuadratic(
-            quad=tuple(sorted((k, v) for k, v in quad.items() if v != 0)),
-            lin=tuple(sorted((k, v) for k, v in lin.items() if v != 0)),
-            const=const,
-            line=head.line, col=head.col)
-
-    def parse_monomial(self) -> tuple[complex, list[int]]:
-        coeff = complex(1.0)
-        axes: list[int] = []
-        saw_any = False
-        while True:
-            tok = self.here
-            if tok.kind == "number":
-                self.advance()
-                coeff *= tok.value
-                saw_any = True
-            elif tok.kind == "name" and tok.text == "i":
-                self.advance()
-                coeff *= 1j
-                saw_any = True
-            elif tok.kind == "name":
-                mo = _NAME_RE.match(tok.text)
-                if mo is None:
-                    raise UnknownSymbolError(
-                        f"unknown symbol {tok.text!r} inside exp", tok.line, tok.col)
-                if mo.group(1) == "xi":
-                    raise ExprSyntaxError(
-                        "odd generators are not allowed inside exp", tok.line, tok.col)
-                self.advance()
-                index = int(mo.group(2))
-                if index == 0:
-                    raise ExprSyntaxError("generator indices are 1-based",
-                                          tok.line, tok.col)
-                power = 1
-                if self.here.kind == "^":
-                    caret = self.advance()
-                    p = self.expect("number", "an integer power")
-                    if p.value not in (complex(1.0), complex(2.0)):
-                        raise ExprSyntaxError(
-                            "exp polynomials have degree at most 2",
-                            caret.line, caret.col)
-                    power = int(p.value.real)
-                axes.extend([index] * power)
-                saw_any = True
-            else:
-                break
-            if len(axes) > 2:
-                raise ExprSyntaxError(
-                    "exp polynomials have degree at most 2", tok.line, tok.col)
-            if self.here.kind == "*":
-                nxt = self.tokens[self.pos + 1]
-                is_factor = (nxt.kind == "number"
-                             or (nxt.kind == "name"
-                                 and (nxt.text == "i" or _NAME_RE.match(nxt.text))))
-                if not is_factor:
-                    break
-                self.advance()
-                continue
-            break
-        if not saw_any:
-            tok = self.here
-            got = "end of input" if tok.kind == "end" else repr(tok.text)
-            raise ExprSyntaxError(f"expected a monomial, found {got}",
-                                  tok.line, tok.col)
-        return coeff, axes
-
 
 def parse(src: str) -> Node:
     """Parse a source string into an AST; raise with line/column on errors."""
@@ -412,6 +325,63 @@ def parse(src: str) -> Node:
         raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}",
                               tok.line, tok.col)
     return node
+
+
+def _quadratic(node: Exp) -> tuple[tuple, tuple, complex]:
+    """The exponent of ``exp`` as (quad, lin, const).
+
+    ``quad`` holds ((mu, nu), c) with mu <= nu (1-based), ``lin`` holds
+    (mu, c), both sorted and without zeros, and ``const`` is the scalar
+    summand.  Monomials are summed in source order, each coefficient the
+    product of its numbers from left to right times its sign.  Raises at the
+    node that makes the exponent no sum of monomials of degree at most 2 with
+    finite coefficients.
+    """
+    quad: dict[tuple[int, int], complex] = {}
+    lin: dict[int, complex] = {}
+    const = 0j
+    summands = [(node.operand, 1.0)]
+    while summands:
+        nd, sign = summands.pop()
+        if isinstance(nd, (Add, Sub)):
+            summands += ((nd.rhs, -sign if isinstance(nd, Sub) else sign), (nd.lhs, sign))
+            continue
+        if isinstance(nd, Neg):
+            summands.append((nd.operand, -sign))
+            continue
+        coeff = complex(1.0)
+        axes: list[int] = []
+        factors = [nd]
+        while factors:
+            f = factors.pop()
+            if isinstance(f, Mul):
+                factors += (f.rhs, f.lhs)
+                continue
+            if isinstance(f, Literal):
+                coeff *= f.value
+            elif isinstance(f, Coordinate):
+                axes.append(f.index)
+            elif isinstance(f, Pow):
+                axes += [f.base.index] * f.power
+            else:
+                raise ExprSyntaxError("a monomial inside exp is a product of numbers "
+                                      "and even coordinates", f.line, f.col)
+            if len(axes) > 2:
+                raise ExprSyntaxError("exp polynomials have degree at most 2", f.line, f.col)
+        coeff *= sign
+        if len(axes) == 2:
+            key = (min(axes), max(axes))
+            quad[key] = quad.get(key, 0j) + coeff
+        elif len(axes) == 1:
+            lin[axes[0]] = lin.get(axes[0], 0j) + coeff
+        else:
+            const += coeff
+    if not all(map(cmath.isfinite, (*quad.values(), *lin.values(), const))):
+        raise ExpressionError("a coefficient inside exp is not a finite float",
+                              node.line, node.col)
+    return (tuple(sorted((k, v) for k, v in quad.items() if v != 0)),
+            tuple(sorted((k, v) for k, v in lin.items() if v != 0)),
+            const)
 
 
 # ---------------------------------------------------------------------------
@@ -435,42 +405,6 @@ def _fmt_number(v: complex) -> list[str]:
     return parts
 
 
-def _poly_pieces(node: ExpQuadratic) -> list[tuple[float, str]]:
-    """The polynomial inside exp as (signed real coefficient, monomial text)."""
-    pieces: list[tuple[float, str]] = []
-
-    def push(value: complex, mono: str):
-        if value.real != 0:
-            pieces.append((value.real, mono))
-        if value.imag != 0:
-            pieces.append((value.imag, "i" + ("*" + mono if mono else "")))
-
-    for (mu, nu), v in node.quad:
-        mono = f"x{mu}^2" if mu == nu else f"x{mu}*x{nu}"
-        push(v, mono)
-    for mu, v in node.lin:
-        push(v, f"x{mu}")
-    if node.const != 0:
-        push(node.const, "")
-    if not pieces:
-        pieces.append((0.0, ""))
-    return pieces
-
-
-def _print_poly(node: ExpQuadratic) -> str:
-    out = []
-    for k, (value, mono) in enumerate(_poly_pieces(node)):
-        mag = abs(value)
-        coeff_txt = "" if (mag == 1.0 and mono and not mono.startswith("i")) \
-            else _fmt_real(mag) + ("*" if mono else "")
-        body = coeff_txt + mono if mono else _fmt_real(mag)
-        if k == 0:
-            out.append(("-" if value < 0 else "") + body)
-        else:
-            out.append((" - " if value < 0 else " + ") + body)
-    return "".join(out)
-
-
 _PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, StarOp: 2}
 
 
@@ -483,8 +417,10 @@ def _print_node(node: Node, parent_prec: int, right_side: bool) -> str:
         return f"x{node.index}"
     if isinstance(node, OddGenerator):
         return f"xi{node.index}"
-    if isinstance(node, ExpQuadratic):
-        return f"exp({_print_poly(node)})"
+    if isinstance(node, Pow):
+        return f"{_print_node(node.base, 3, False)}^{node.power}"
+    if isinstance(node, Exp):
+        return f"exp({_print_node(node.operand, 0, False)})"
     if isinstance(node, Neg):
         inner = _print_node(node.operand, 2, False)
         txt = f"-{inner}"
@@ -542,27 +478,28 @@ def evaluate(node: Node, ctx: DeformationContext) -> Superfunction:
                     f"odd generator xi{nd.index} out of range for {n} odd "
                     f"generators (line {nd.line}, column {nd.col})")
             return Superfunction.xi(d, n, nd.index)
-        if isinstance(nd, ExpQuadratic):
+        if isinstance(nd, Pow):
+            base = ev(nd.base)
+            return smul(base, base) if nd.power == 2 else base
+        if isinstance(nd, Exp):
+            quad, lin, const = _quadratic(nd)
+            outside = [nu for (_, nu), _ in quad if nu > d] + [mu for mu, _ in lin if mu > d]
+            if outside:
+                raise DimensionError(
+                    f"coordinate x{outside[0]} out of range for a body of "
+                    f"dimension {d} (line {nd.line}, column {nd.col})")
             A = np.zeros((d, d), dtype=complex)
             b = np.zeros(d, dtype=complex)
-            for (mu, nu), v in nd.quad:
-                if nu > d:
-                    raise DimensionError(
-                        f"coordinate x{nu} out of range for a body of "
-                        f"dimension {d} (line {nd.line}, column {nd.col})")
+            for (mu, nu), v in quad:
                 if mu == nu:
                     A[mu - 1, mu - 1] += v
                 else:
                     A[mu - 1, nu - 1] += v / 2.0
                     A[nu - 1, mu - 1] += v / 2.0
-            for mu, v in nd.lin:
-                if mu > d:
-                    raise DimensionError(
-                        f"coordinate x{mu} out of range for a body of "
-                        f"dimension {d} (line {nd.line}, column {nd.col})")
+            for mu, v in lin:
                 b[mu - 1] += v
             try:
-                scale = cmath.exp(nd.const)
+                scale = cmath.exp(const)
             except OverflowError:
                 raise ExpressionError("the value here is not a finite float",
                                       nd.line, nd.col) from None

@@ -254,8 +254,6 @@ def substitute(f: Superfunction, odd_images: Sequence[GrassmannElement], new_n: 
     m = f.m if even_M is None else np.shape(even_M)[1]
     out: dict[int, dict] = {}
     for word, fn in f.terms.items():
-        if even_M is not None:
-            fn = fn.affine(even_M, np.zeros(f.m))
         acc = GrassmannElement.one(width)
         w = word
         while w and acc:
@@ -264,6 +262,8 @@ def substitute(f: Superfunction, odd_images: Sequence[GrassmannElement], new_n: 
             acc = acc.wedge(odd_images[k])
         if not acc:
             continue
+        if even_M is not None:
+            fn = fn.affine(even_M, np.zeros(f.m))
         for new_word, coeff in acc.coeffs.items():
             ep_add_into(out.setdefault(new_word, {}), fn, coeff)
     return Superfunction.from_keys(m, new_n, out, width - new_n)

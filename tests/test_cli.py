@@ -66,6 +66,26 @@ def test_star_out_of_range_coordinate_exits_2(capsys):
     assert "out of range" in err
 
 
+def test_star_divergent_product_exits_2_on_one_line(capsys):
+    code, out, err = run_cli(capsys, "star", "exp(x1^2) star x1")
+    assert (code, out) == (2, "")
+    assert "neither integrable nor Fresnel" in err and "A_ut=" not in err
+    assert len(err.splitlines()) == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("expression", [
+    "exp(-x1^2 - 0.5*x2^2 + 0.25i*x1*x2) * (1 + 2*xi1) star exp(-(x1^2 + x2^2)) * xi1",
+    "exp(-1.5*x1^2 - x2^2 + x1 - 2i*x2 + 0.3) star (x1^2 - x2)",
+    "x1 star exp(-x1*x2 - (0.5*x1^2 - 1i*x1) - 2*x2^2*0.25) * (xi1 - 3)",
+])
+def test_star_printed_expression_gives_the_same_result(capsys, expression):
+    # the echo prints to itself, so the whole output, result included, repeats
+    flags = ("star", "--theta", "0.7", "--m", "1", "--n", "1", "--")
+    code, first, _ = run_cli(capsys, *flags, expression)
+    assert code == 0
+    assert run_cli(capsys, *flags, json.loads(first)["expression"]) == (0, first, "")
+
+
 def test_star_bad_signature_exits_2(capsys):
     code, out, err = run_cli(capsys, "star", "--n", "1",
                              "--signature", "2,2", "x1")

@@ -1,5 +1,7 @@
 """Expression mini-language: lexing, parsing, printing, evaluation."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,16 +11,18 @@ from superstar.errors import DimensionError
 from superstar.expr import (
     Add,
     Coordinate,
-    ExpQuadratic,
+    Exp,
     ExpressionError,
     ExprSyntaxError,
     Literal,
     Mul,
     Neg,
     OddGenerator,
+    Pow,
     StarOp,
     Sub,
     UnknownSymbolError,
+    _quadratic,
     evaluate,
     parse,
     print_expression,
@@ -42,8 +46,7 @@ def test_star_node_shape():
 
 def test_product_with_exp_shape():
     ast = parse("exp(-x1^2) * xi1")
-    assert ast == Mul(ExpQuadratic(quad=(((1, 1), complex(-1.0)),)),
-                      OddGenerator(1))
+    assert ast == Mul(Exp(Neg(Pow(Coordinate(1), 2))), OddGenerator(1))
 
 
 def test_precedence_and_associativity():
@@ -67,9 +70,14 @@ def test_imaginary_literals():
 
 def test_exp_polynomial_collects_terms():
     ast = parse("exp(x2*x1 + 0.5*x1*x2 - x1 + 2i*x1 + 1)")
-    assert ast == ExpQuadratic(quad=(((1, 2), complex(1.5)),),
-                               lin=((1, complex(-1.0, 2.0)),),
-                               const=complex(1.0))
+    assert _quadratic(ast) == ((((1, 2), complex(1.5)),),
+                               ((1, complex(-1.0, 2.0)),),
+                               complex(1.0))
+
+
+def test_power_binds_tightest():
+    assert parse("2*x1^2") == Mul(Literal(complex(2.0)), Pow(Coordinate(1), 2))
+    assert parse("x1^1 star x2") == StarOp(Pow(Coordinate(1), 1), Coordinate(2))
 
 
 def test_positions_are_tracked_but_not_compared():
@@ -98,6 +106,12 @@ def test_positions_are_tracked_but_not_compared():
     ("x1 @ x2", ExprSyntaxError, 4),
     ("x1 + 1e400i", ExpressionError, 6),
     ("exp(1e300*x1*1e300)", ExpressionError, 1),
+    ("exp(2*(x1 + x2))", ExprSyntaxError, 11),
+    ("exp(x1 star x2)", ExprSyntaxError, 8),
+    ("exp(exp(x1))", ExprSyntaxError, 5),
+    ("exp(x1*x2^2)", ExprSyntaxError, 8),
+    ("xi1^2", ExprSyntaxError, 4),
+    ("x1^3", ExprSyntaxError, 3),
 ])
 def test_errors_with_position(src, exc, col):
     with pytest.raises(exc) as info:
@@ -159,16 +173,31 @@ def _literals():
     )
 
 
+def _powers():
+    return st.builds(Pow, st.integers(1, 2).map(Coordinate), st.integers(1, 2))
+
+
+def _degree(factor) -> int:
+    if isinstance(factor, Pow):
+        return factor.power
+    return int(isinstance(factor, Coordinate))
+
+
 def _exp_nodes():
-    pair = st.tuples(st.integers(1, 2), st.integers(1, 2)).map(sorted).map(tuple)
-    quad = st.dictionaries(pair, _coeff, max_size=2)
-    lin = st.dictionaries(st.integers(1, 2), _coeff, max_size=2)
-    const = st.one_of(st.just(0j), _coeff.map(complex))
-    return st.builds(
-        lambda q, l, c: ExpQuadratic(quad=tuple(sorted(q.items())),
-                                     lin=tuple(sorted(l.items())),
-                                     const=c),
-        quad, lin, const)
+    """exp of a signed sum of monomials of degree <= 2, left-nested products."""
+    factor = st.one_of(_literals(), st.integers(1, 2).map(Coordinate), _powers())
+    monomial = st.lists(factor, min_size=1, max_size=3).filter(
+        lambda fs: sum(map(_degree, fs)) <= 2).map(
+        lambda fs: functools.reduce(Mul, fs))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(lambda cls, a, b: cls(a, b), st.sampled_from([Add, Sub]),
+                      children, children),
+            children.map(lambda a: a if isinstance(a, Neg) else Neg(a)),
+        )
+
+    return st.recursive(monomial, extend, max_leaves=6).map(Exp)
 
 
 def _ast_nodes():
@@ -176,6 +205,7 @@ def _ast_nodes():
         _literals(),
         st.integers(1, 2).map(Coordinate),
         st.integers(1, 2).map(OddGenerator),
+        _powers(),
         _exp_nodes(),
     )
 
@@ -234,6 +264,19 @@ def test_evaluate_odd_star_square_is_half_coupling():
 def test_evaluate_pointwise_odd_square_vanishes():
     fun = evaluate(parse("xi1 * xi1"), CTX)
     assert fun.is_zero
+
+
+def test_power_outside_exp_is_the_product():
+    assert sf_max_dev(evaluate(parse("x1^2 * xi1 + x2^1"), CTX),
+                      evaluate(parse("x1 * x1 * xi1 + x2"), CTX)) == 0
+
+
+@pytest.mark.parametrize("nested, flat", [
+    ("exp(-(x1^2 + x2^2))", "exp(-x1^2 - x2^2)"),
+    ("exp(-(x1^2 + x2^2) + (0.5i*x1 - (2 - x2)))", "exp(-x1^2 - x2^2 + 0.5i*x1 - 2 + x2)"),
+])
+def test_exp_reads_signs_and_parentheses(nested, flat):
+    assert evaluate(parse(nested), CTX).terms[0].keys == evaluate(parse(flat), CTX).terms[0].keys
 
 
 def test_evaluate_exp_quadratic_matches_gaussian():

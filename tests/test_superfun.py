@@ -195,6 +195,20 @@ def test_substitute_identity():
     assert substitute(f, images, 2, np.eye(2)) == f
 
 
+def test_substitute_pulls_back_only_surviving_words(monkeypatch):
+    # xi2 -> 0 kills every word holding xi2: its even part is never pulled back
+    f = Superfunction(2, 2, {w: ExpPolyFunction.monomial(2, (1, w)) for w in range(4)})
+    images = [GrassmannElement.monomial(2, 0b01), GrassmannElement(2, {})]
+    pulled = []
+    affine = ExpPolyFunction.affine
+    monkeypatch.setattr(ExpPolyFunction, "affine",
+                        lambda fn, *args: pulled.append(fn) or affine(fn, *args))
+    M = np.array([[0.0, 1.0], [1.0, 0.0]])
+    g = substitute(f, images, 2, M)
+    assert pulled == [f.terms[0b00], f.terms[0b01]]
+    assert g == Superfunction(2, 2, {w: ExpPolyFunction.monomial(2, (w, 1)) for w in (0, 1)})
+
+
 # ---------------------------------------------------------------------------
 # odd derivative (left convention)
 
