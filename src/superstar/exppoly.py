@@ -1,15 +1,16 @@
 """Closed even-variable function class: sums of c * x^alpha * exp(x^T A x + b.x).
 
 The class is closed under products, affine substitutions, derivatives, and —
-the point of the exercise — exact Gaussian/Fresnel integration over any subset
-of variables.  Oscillatory (Fresnel) integrals are evaluated as the closed-form
-epsilon-regularization limit A -> A - eps*Id, eps -> 0+, with the determinant
-prefactor tracked per eigenvalue on the principal square-root branch; no
-numeric limits anywhere.
+the point of the exercise — exact Gaussian/Fresnel integration over the
+trailing variables (``affine`` permutes any others to the end).  Oscillatory
+(Fresnel) integrals are evaluated as the closed-form epsilon-regularization
+limit A -> A - eps*Id, eps -> 0+, with the determinant prefactor tracked per
+eigenvalue on the principal square-root branch; no numeric limits anywhere.
 
 Conventions: a term stores the quadratic form A as the upper triangle of a
-symmetric matrix, so x^T A x carries the full cross coefficient (the (i,j) and
-(j,i) entries both contribute).  ``b`` is the linear form, ``alpha`` the
+symmetric matrix, in the order of the one index table :func:`_triangle`, so
+x^T A x carries the full cross coefficient (the (i,j) and (j,i) entries both
+contribute).  ``b`` is the linear form, ``alpha`` the
 monomial exponent; (A, b) is the term's exponent key.
 
 Terms of one function share few exponent keys, so a function is stored by
@@ -41,6 +42,7 @@ zero, no eigenvalues are computed, and the normalization is exactly 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import nan, pi
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -64,21 +66,25 @@ __all__ = [
 _EIG_TOL = 1e-12
 
 
+@lru_cache(maxsize=32)
+def _triangle(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (rows, cols, pos) for R^d, the one statement of A_ut's order:
+    A_ut[k] = A[rows[k], cols[k]] (upper triangle, row by row) and
+    A[i, j] = A_ut[pos[i, j]].  At most 32 are cached; the report needs d <= 12."""
+    rows, cols = np.triu_indices(d)
+    pos = np.empty((d, d), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(len(rows))
+    rows.flags.writeable = cols.flags.writeable = pos.flags.writeable = False
+    return rows, cols, pos
+
+
 def _ut_from_matrix(A: np.ndarray) -> tuple[complex, ...]:
-    d = A.shape[0]
-    sym = 0.5 * (A + A.T)
-    return tuple(complex(sym[i, j]) for i in range(d) for j in range(i, d))
+    rows, cols, _ = _triangle(A.shape[0])
+    return tuple((0.5 * (A + A.T))[rows, cols].astype(complex, copy=False).tolist())
 
 
 def _matrix_from_ut(ut: Sequence[complex], d: int) -> np.ndarray:
-    A = np.zeros((d, d), dtype=complex)
-    k = 0
-    for i in range(d):
-        for j in range(i, d):
-            A[i, j] = ut[k]
-            A[j, i] = ut[k]
-            k += 1
-    return A
+    return np.array(ut, dtype=complex)[_triangle(d)[2]]
 
 
 @dataclass(frozen=True)
@@ -95,10 +101,8 @@ class ExpPolyTerm:
 
 
 def _negative_definite(A_ut: Sequence[complex], d: int) -> bool:
-    if d == 0:
-        return True
     re = np.real(_matrix_from_ut(A_ut, d))
-    return bool(np.max(np.linalg.eigvalsh(re)) < -_EIG_TOL)
+    return bool(np.all(np.linalg.eigvalsh(re) < -_EIG_TOL))
 
 
 def _nonzero(keys: dict) -> dict:
@@ -494,12 +498,13 @@ def _affine_monomial_expand(rows, powers, k: int) -> dict[tuple, complex]:
     return acc
 
 
-def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int], *,
+def ep_integrate_partial(f: ExpPolyFunction, keep: int, *,
                          kernel: tuple[np.ndarray, np.ndarray] | None = None) -> ExpPolyFunction:
-    """Integrate out the given axes exactly; remaining axes keep their order.
+    """Integrate out every coordinate after the first ``keep`` exactly.
 
-    The integral over y (the selected axes) of y^beta e^{y^T Ayy y + s(u).y}
-    is evaluated by the Gaussian moment formula with
+    The integrated block is trailing, x = [u | y], so every block of A is a
+    slice.  The integral of y^beta e^{y^T Ayy y + s(u).y} is evaluated by
+    the Gaussian moment formula with
     Z = pi^{l/2} / prod_j sqrt(mu_j), mu_j the eigenvalues of -Ayy on the
     principal square-root branch (the epsilon-regularization limit), and the
     moment polynomial recursion of :func:`_moment_poly`; the result is an
@@ -514,7 +519,7 @@ def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int], *,
     summed in one dict, in term order, before any term is built.
 
     ``kernel`` = (X, X^{-1}) makes this the star product's kernel integral:
-    the integrated axes split into halves z1, z2, and f is multiplied by the
+    the integrated block splits into halves z1, z2, and f is multiplied by the
     normalized kernel e^{2 z1^T X z2} / (pi^{l/2} |det X^{-1}|), the bare
     kernel's integral being the denominator.  Every integrated block is then
     Ayy = [[P, X], [X^T, Q]], and C is the Schur complement through the
@@ -526,26 +531,23 @@ def ep_integrate_partial(f: ExpPolyFunction, axes: Sequence[int], *,
     Raises DivergenceError when a quadratic form is neither integrable nor
     Fresnel on the integrated block.
     """
-    wanted = {int(a) for a in axes}
-    axes = [i for i in range(f.d) if i in wanted]
-    if len(axes) != len(wanted):
-        raise ValueError(f"axes {wanted} out of range for d={f.d}")
-    if not axes:
+    if not 0 <= keep <= f.d:
+        raise ValueError(f"keep={keep} out of range for d={f.d}")
+    if keep == f.d:
         return f
     if kernel is not None:
         X, x_inv = (np.asarray(a, dtype=complex) for a in kernel)
-        if 2 * len(x_inv) != len(axes) or X.shape != x_inv.shape:
+        if 2 * len(x_inv) != f.d - keep or X.shape != x_inv.shape:
             raise ValueError(f"kernel block of size {len(x_inv)} does not "
-                             f"split {len(axes)} integrated axes")
+                             f"split {f.d - keep} integrated coordinates")
         kernel = (X, x_inv, abs(np.linalg.det(x_inv)))
-    keep = [i for i in range(f.d) if i not in axes]
     groups: dict[tuple, dict[tuple, dict[tuple, complex]]] = {}
     for (A_ut, b), poly in f.keys.items():
         groups.setdefault(A_ut, {})[b] = poly
     out: dict[tuple, dict[tuple, complex]] = {}
     for A_ut, by_b in groups.items():
-        _integrate_form(A_ut, by_b, axes, keep, kernel, out)
-    return ExpPolyFunction(len(keep), out)
+        _integrate_form(A_ut, by_b, f.d, keep, kernel, out)
+    return ExpPolyFunction(keep, out)
 
 
 def _kernel_inverse(P: np.ndarray, X: np.ndarray, Q: np.ndarray,
@@ -571,17 +573,17 @@ def _kernel_inverse(P: np.ndarray, X: np.ndarray, Q: np.ndarray,
 
 
 def _integrate_form(A_ut: tuple, by_b: Mapping[tuple, Mapping[tuple, complex]],
-                    axes: list[int], keep: list[int], kernel, out: dict) -> None:
+                    d: int, k: int, kernel, out: dict) -> None:
     """Integrate the keys sharing one quadratic form A, given as {b: {alpha: c}}.
 
     Each key's result is added into ``out``, a {(A_ut, b): {alpha: c}} map of
-    the kept variables.  ``kernel`` is (X, X^{-1}, |det X^{-1}|) for a kernel
-    integral, whose coupling X is added to the integrated block here, else
-    None.
+    the first k of the d variables.  ``kernel`` is (X, X^{-1}, |det X^{-1}|)
+    for a kernel integral, whose coupling X is added to the integrated block
+    here, else None.
     """
-    k, ell = len(keep), len(axes)
-    A = _matrix_from_ut(A_ut, k + ell)
-    Ayy = A[np.ix_(axes, axes)]
+    ell = d - k
+    A = _matrix_from_ut(A_ut, d)
+    Ayy = A[k:, k:].copy()  # the kernel coupling is added in place
     half = ell // 2
     if kernel is not None:
         Ayy[:half, half:] += kernel[0]
@@ -604,8 +606,7 @@ def _integrate_form(A_ut: tuple, by_b: Mapping[tuple, Mapping[tuple, complex]],
                else f"largest eigenvalue of Re A {np.max(re_eigs):.3g}")
         raise DivergenceError(f"exponent neither integrable nor Fresnel on the "
                               f"integrated block of size {ell}: {why}")
-    Auu = A[np.ix_(keep, keep)]
-    Auy = A[np.ix_(keep, axes)]
+    Auy = A[:k, k:]
     if kernel is None:
         C = np.linalg.inv(Ayy)
         Z = pi ** (ell / 2) / np.prod([_principal_sqrt(m) for m in mu])
@@ -618,22 +619,21 @@ def _integrate_form(A_ut: tuple, by_b: Mapping[tuple, Mapping[tuple, complex]],
     # s(u) = b_y + B u with B = 2 Auy^T
     B = 2.0 * Auy.T
     Z = complex(Z)
-    A_u = _ut_from_matrix(Auu - Auy @ C @ Auy.T) if k else ()
+    A_u = _ut_from_matrix(A[:k, :k] - Auy @ C @ Auy.T) if k else ()
     moments: dict[tuple, dict[tuple, complex]] = {}
     for b_key, poly in by_b.items():
         b = np.asarray(b_key)
-        b_u = b[keep]
-        b_y = b[axes]
-        b_t = tuple(complex(x) for x in b_u - Auy @ (C @ b_y))
+        b_y = b[k:]
+        b_t = tuple(complex(x) for x in b[:k] - Auy @ (C @ b_y))
         decay = complex(np.exp(-0.25 * complex(b_y @ C @ b_y)))
         expansions: dict[tuple, dict[tuple, complex]] = {}
         acc = out.setdefault((A_u, b_t), {})
         for alpha, c in poly.items():
-            beta = tuple(alpha[a] for a in axes)
+            beta = alpha[k:]
             if beta not in moments:
                 moments[beta] = _moment_poly(C, beta)
             const = c * Z * decay
-            alpha_u = tuple(alpha[i] for i in keep)
+            alpha_u = alpha[:k]
             for gamma, h in moments[beta].items():
                 if gamma not in expansions:
                     rows = [(complex(b_y[i]), B[i, :]) for i in range(ell) if gamma[i] > 0]
@@ -647,9 +647,7 @@ def _integrate_form(A_ut: tuple, by_b: Mapping[tuple, Mapping[tuple, complex]],
 
 def ep_integrate(f: ExpPolyFunction) -> complex:
     """Exact integral over all of R^d."""
-    if f.d == 0:
-        return _coefficient_sum(f)
-    return _coefficient_sum(ep_integrate_partial(f, range(f.d)))
+    return _coefficient_sum(ep_integrate_partial(f, 0))
 
 
 # ---------------------------------------------------------------------------

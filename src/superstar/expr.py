@@ -424,7 +424,7 @@ def _print_node(node: Node, parent_prec: int, right_side: bool) -> str:
     if isinstance(node, Neg):
         inner = _print_node(node.operand, 2, False)
         txt = f"-{inner}"
-        return f"({txt})" if parent_prec > 0 else txt
+        return f"({txt})" if parent_prec > 1 or right_side else txt
     prec = _PRECEDENCE[type(node)]
     op = {Add: " + ", Sub: " - ", Mul: " * ", StarOp: " star "}[type(node)]
     txt = (_print_node(node.lhs, prec, False)

@@ -315,8 +315,8 @@ def calibration_identities(theta: float, phi: ExpPolyFunction) -> dict:
     for mu in (1, 2):
         gen = Superfunction.from_even(
             ExpPolyFunction.coordinate(2, mu - 1).scale(alpha * 0.5j), 0)
-        comm = star(ctx0, gen, f) - star(ctx0, f, gen)
-        anti = star(ctx0, gen, f) + star(ctx0, f, gen)
+        gf, fg = star(ctx0, gen, f), star(ctx0, f, gen)
+        comm, anti = gf - fg, gf + fg
         kin_comm += 0.5 * star(ctx0, comm.conj(), comm).body().integrate()
         harm_anti += (harmonic_sq / 2.0) * star(
             ctx0, anti.conj(), anti).body().integrate()

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClassError, DimensionError, SingularityError
-from .exppoly import ExpPolyFunction, worst_dev
+from .exppoly import ExpPolyFunction, _triangle, worst_dev
 from .grassmann import GrassmannElement
 from .hilbert import inner_l2
 from .starprod import DeformationContext, star, star_general
@@ -274,8 +274,10 @@ def _split_leg(qctx: QGroupContext, G: Superfunction, j: int, nlegs: int):
     d, n = qctx.d, qctx.n
     D = nlegs * d
     on_j = [j * d <= k < (j + 1) * d for k in range(D)]
-    # per upper-triangle entry of A: 0 rest block, 1 cross block, 2 leg-j block
-    block = [on_j[a] + on_j[b] for a in range(D) for b in range(a, D)]
+    rows, cols, _ = _triangle(D)
+    on = np.array(on_j, dtype=int)
+    # per entry of A_ut, in exppoly's order: 0 rest block, 1 cross block, 2 leg-j block
+    block = (on[rows] + on[cols]).tolist()
     jmask = ((1 << n) - 1) << (j * n)
     above = ~((1 << ((j + 1) * n)) - 1)
     pieces = []

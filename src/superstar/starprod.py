@@ -299,8 +299,7 @@ def star_general(f: Superfunction, g: Superfunction,
             ep_mul_into(integrands.setdefault(word, {}), left[wf], right[wg], c)
     for word, keys in integrands.items():
         ep_add_into(out.setdefault(word, {}),
-                    ep_integrate_partial(ExpPolyFunction(D, keys), range(f.m, D),
-                                         kernel=kernel))
+                    ep_integrate_partial(ExpPolyFunction(D, keys), f.m, kernel=kernel))
     return Superfunction.from_keys(f.m, f.n, out, naux)
 
 

@@ -11,6 +11,8 @@ from superstar import cli
 from superstar.errors import DivergenceError
 from superstar.exppoly import (
     ExpPolyFunction,
+    _matrix_from_ut,
+    _triangle,
     _ut_from_matrix,
     ep_add_into,
     ep_from_distinct,
@@ -72,6 +74,14 @@ def random_integrable(rng, d: int, nterms: int = 1, *, max_deg: int = 2,
         poly = keys.setdefault((_ut_from_matrix(A), tuple(map(complex, b))), {})
         poly[alpha] = poly.get(alpha, 0j) + c
     return ExpPolyFunction(d, keys)
+
+
+def integrate_axes(f: ExpPolyFunction, axes) -> ExpPolyFunction:
+    """Integrate out ``axes``: ``affine`` moves them last, exactly (a
+    permutation), and the other axes keep their order."""
+    order = [i for i in range(f.d) if i not in axes] + sorted(axes)
+    moved = f.affine(np.eye(f.d)[:, order], np.zeros(f.d))
+    return ep_integrate_partial(moved, f.d - len(axes))
 
 
 def coefficients(f: ExpPolyFunction) -> dict:
@@ -195,17 +205,17 @@ def test_partial_integration_consistency():
     for _ in range(10):
         f = random_integrable(rng, 3)
         full = ep_integrate(f)
-        partial = ep_integrate(ep_integrate_partial(f, [1]))
+        partial = ep_integrate(integrate_axes(f, [1]))
         assert abs(full - partial) <= 1e-11 * max(1.0, abs(full))
         # integrate axes one at a time in a different order
-        step = ep_integrate_partial(ep_integrate_partial(f, [2]), [0])
+        step = integrate_axes(ep_integrate_partial(f, 2), [0])
         assert abs(ep_integrate(step) - full) <= 1e-11 * max(1.0, abs(full))
 
 
 def test_partial_integration_pointwise_against_quadrature():
     rng = np.random.default_rng(19)
     f = random_integrable(rng, 2)
-    g = ep_integrate_partial(f, [0])  # function of the old axis 1
+    g = integrate_axes(f, [0])  # function of the old axis 1
     for y in [-0.7, 0.0, 1.3]:
         section_re, _ = sint.quad(
             lambda x: f.eval(np.array([[x, y]]))[0].real, -30, 30, limit=400)
@@ -245,11 +255,11 @@ def test_keyed_reduction_equals_termwise_reduction(d, axes):
         f = _keyed_integrand(rng, d, nkeys)
         assert len(f.keys) == nkeys
         assert len(coefficients(f)) > nkeys
-        whole = ep_integrate_partial(f, axes)
+        whole = integrate_axes(f, axes)
         termwise = {}
         for (alpha, A_ut, b), c in coefficients(f).items():
             single = ExpPolyFunction(d, {(A_ut, b): {alpha: c}})
-            ep_add_into(termwise, ep_integrate_partial(single, axes))
+            ep_add_into(termwise, integrate_axes(single, axes))
         termwise = ExpPolyFunction(whole.d, termwise)
         assert _max_rel_coefficient_dev(whole, termwise) <= 1e-12, (nkeys, axes)
 
@@ -260,11 +270,59 @@ def test_keyed_reduction_raises_on_the_one_inadmissible_key():
     # e^{x_0} times x_1: no Gaussian decay or oscillation along axis 0
     bad = (ExpPolyFunction.gaussian(2, np.diag([0.0, -1.0]), [1.0, 0.0])
            * ExpPolyFunction.coordinate(2, 1))
-    ep_integrate_partial(good, [0])
+    integrate_axes(good, [0])
     with pytest.raises(DivergenceError):
-        ep_integrate_partial(good + bad, [0])
+        integrate_axes(good + bad, [0])
     with pytest.raises(DivergenceError):
         ep_integrate(good + bad)
+
+
+@pytest.mark.parametrize("keep", [-1, 3, 4])
+def test_keep_outside_the_dimension_raises(keep):
+    f = random_integrable(np.random.default_rng(47), 2)
+    with pytest.raises(ValueError, match="out of range"):
+        ep_integrate_partial(f, keep)
+
+
+def test_kernel_that_does_not_split_the_trailing_block_raises():
+    f = random_integrable(np.random.default_rng(53), 4)
+    kernel = (0.5j * np.eye(2), -2j * np.eye(2))  # an oscillating coupling
+    assert ep_integrate_partial(f, 0, kernel=kernel).d == 0
+    for keep in (1, 3):  # a trailing block of 3 or 1 coordinates
+        with pytest.raises(ValueError, match="does not split"):
+            ep_integrate_partial(f, keep, kernel=kernel)
+    with pytest.raises(ValueError, match="does not split"):
+        ep_integrate_partial(f, 0, kernel=(np.ones((1, 2)), np.ones((2, 2))))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("d", range(13))
+def test_triangle_table_round_trips_symmetric_forms_bit_for_bit(d):
+    rng = np.random.default_rng([59, d])
+    for _ in range(5):
+        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        A = A + A.T
+        A[rng.random(size=(d, d)) < 0.2] = 0.0  # zero entries keep their sign bit
+        A = np.triu(A) + np.triu(A, 1).T
+        ut = _ut_from_matrix(A)
+        # the upper triangle, row by row
+        assert ut == tuple(complex(A[i, j]) for i in range(d) for j in range(i, d))
+        assert all(type(z) is complex for z in ut)
+        back = _matrix_from_ut(ut, d)
+        assert np.array_equal(_bits(back), _bits(A))
+        assert np.array_equal(_bits(_ut_from_matrix(back)), _bits(ut))
+
+
+def test_triangle_table_is_read_only_and_bounded():
+    assert _triangle.cache_info().maxsize is not None
+    for table in _triangle(4):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+    assert _triangle(4) is _triangle(4)
 
 # ---------------------------------------------------------------------------
 # algebra: product, translate, derive

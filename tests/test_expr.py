@@ -159,6 +159,24 @@ def test_printer_uses_minimal_parentheses():
     assert print_expression(parse("(x1 * x2) star x1")) == "x1 * x2 star x1"
 
 
+@pytest.mark.parametrize("src, text", [
+    ("-x1 + x2", "-x1 + x2"),
+    ("(-x1) + x2", "-x1 + x2"),
+    ("-(x1 + x2) + x3", "-(x1 + x2) + x3"),
+    ("exp((-x1^2) - x2^2)", "exp(-x1^2 - x2^2)"),
+    ("x1 + (-x2)", "x1 + (-x2)"),
+    ("x1 - (-x2)", "x1 - (-x2)"),
+    ("(-x1) * x2", "(-x1) * x2"),
+    ("(-x1) star x2", "(-x1) star x2"),
+    ("-(-x1)", "-(-x1)"),
+])
+def test_negation_is_parenthesized_only_where_it_must_be(src, text):
+    # a leading negation prints bare; a right operand, a factor of * or star,
+    # or the operand of another negation keeps its parentheses
+    assert print_expression(parse(src)) == text
+    assert parse(text) == parse(src)
+
+
 _coeff = st.one_of(
     st.integers(min_value=-9, max_value=9).filter(lambda v: v != 0).map(float),
     st.floats(min_value=-32.0, max_value=32.0,

@@ -535,10 +535,10 @@ def _count_reductions(ctx, f, g):
         inv_sizes.append(len(a))
         return inv(a)
 
-    def recording_integrate(fn, axes, **kwargs):
+    def recording_integrate(fn, keep, **kwargs):
         keys.append(len({(t.A_ut, t.b) for t in fn.terms}))
         forms.append(len({t.A_ut for t in fn.terms}))
-        return integrate(fn, axes, **kwargs)
+        return integrate(fn, keep, **kwargs)
 
     np.linalg.eigvals, np.linalg.inv = counting_eigvals, counting_inv
     starprod.ep_integrate_partial = recording_integrate
@@ -684,8 +684,8 @@ def test_gaussian_kernel_path_matches_generic_integration():
             f = random_integrable_factor(rng, ctx).terms[0]
             g = random_integrable_factor(rng, ctx).terms[0]
             integrand = f.affine(M1, zeros) * g.affine(M2, zeros)
-            got = exppoly.ep_integrate_partial(integrand, range(d, D), kernel=kernel)
-            want = exppoly.ep_integrate_partial(integrand * K, range(d, D)).scale(
+            got = exppoly.ep_integrate_partial(integrand, d, kernel=kernel)
+            want = exppoly.ep_integrate_partial(integrand * K, d).scale(
                 1.0 / (np.pi * ctx.theta) ** d)
             top = max(abs(t.c) for t in want.terms)
             assert ep_max_dev(got, want) <= 1e-12 * top
@@ -768,7 +768,7 @@ def _pair_by_pair(ctx, f, g):
                 piece = ff * gg
             else:
                 integrand = ff.affine(M1, zeros) * gg.affine(M2, zeros)
-                piece = exppoly.ep_integrate_partial(integrand, range(f.m, D), kernel=kernel)
+                piece = exppoly.ep_integrate_partial(integrand, f.m, kernel=kernel)
                 pairs[word] = pairs.get(word, 0) + 1
             out[word] = out[word] + piece.scale(c) if word in out else piece.scale(c)
     return out, pairs
