@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceError
 from .exppoly import ExpPolyFunction, worst_dev
-from .starprod import DeformationContext, star
+from .starprod import DeformationContext, star, star_comm
 from .superfun import Superfunction, sintegrate
 
 __all__ = [
@@ -165,20 +165,6 @@ def even_context(theta: float) -> DeformationContext:
 # graded derivations
 
 
-def _graded_star_commutator(ctx: DeformationContext, gen: Superfunction,
-                            f: Superfunction) -> Superfunction:
-    """[gen, f]_star with the graded sign, gen parity-homogeneous."""
-    pg = gen.parity()
-    if pg is None:
-        raise ValueError("generator must be parity-homogeneous")
-    out = Superfunction.zero(f.m, f.n)
-    for word, fn in f.terms.items():
-        part = Superfunction(f.m, f.n, {word: fn})
-        sign = -1.0 if (pg and word.bit_count() % 2) else 1.0
-        out = out + star(ctx, gen, part) - star(ctx, part, gen).scale(sign)
-    return out
-
-
 def graded_derivation(ctx: DeformationContext, kind: str, mu: int,
                       f: Superfunction, *,
                       alpha: float | None = None) -> Superfunction:
@@ -187,7 +173,9 @@ def graded_derivation(ctx: DeformationContext, kind: str, mu: int,
     ``kind`` = "even": generator alpha (i/2) x_mu (a plain commutator);
     ``kind`` = "odd":  generator alpha (i/2) x_mu xi (graded commutator).
     ``alpha`` overrides the calibrated scale 2/theta (used by the
-    calibration-sweep exploration; leave None for the canonical action)."""
+    calibration-sweep exploration; leave None for the canonical action).
+    ``f`` need not be parity-homogeneous: the graded commutator is summed
+    over its words."""
     if kind not in ("even", "odd"):
         raise ValueError(f"unknown derivation kind {kind!r}")
     if not 1 <= mu <= 2 * ctx.m:
@@ -199,7 +187,10 @@ def graded_derivation(ctx: DeformationContext, kind: str, mu: int,
     coeff = ExpPolyFunction.coordinate(2 * ctx.m, mu - 1).scale(alpha * 0.5j)
     word = 0 if kind == "even" else 1
     gen = Superfunction(2 * ctx.m, ctx.n, {word: coeff})
-    return _graded_star_commutator(ctx, gen, f)
+    out = Superfunction.zero(f.m, f.n)
+    for w, fn in f.terms.items():
+        out = out + star_comm(ctx, gen, Superfunction(f.m, f.n, {w: fn}))
+    return out
 
 
 # ---------------------------------------------------------------------------

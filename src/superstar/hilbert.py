@@ -10,6 +10,10 @@ Three products live here:
   oscillator representation: a Gaussian Berezin weight pairs each holomorphic
   generator with its conjugate.
 
+The other two are ``inner_l2`` after one map: ``scalar_J`` after J on the
+second argument, ``inner_fock`` after the word map D_theta (``_fock_dual``) on
+the first, which integrates the conjugate generators out in closed form.
+
 Graded operators on finite bases get a superadjoint through the defining
 relation <T' x, y> = (-1)^{|T||x|} <x, T y>, solved in closed form.
 """
@@ -22,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionError, ParityError, SingularityError
 from .exppoly import ExpPolyFunction
-from .grassmann import GrassmannElement, eps
+from .grassmann import eps
 from .superfun import Superfunction, sintegrate, smul
 
 __all__ = [
@@ -79,8 +83,9 @@ class FockSuperfunction:
     """Element of L^2(R^{m|r}) tensor the holomorphic odd sector on s generators.
 
     ``fun`` lives on R^{m | r+s}: bits 0..r-1 are the real odd generators,
-    bits r..r+s-1 the holomorphic ones (their conjugates appear only inside
-    ``inner_fock``).  Auxiliary bits ride above as usual.
+    bits r..r+s-1 the holomorphic ones (their conjugates never appear:
+    ``inner_fock`` integrates them out in closed form).  Auxiliary bits ride
+    above as usual.
     """
 
     m: int
@@ -106,64 +111,43 @@ class FockSuperfunction:
         return cls(m, r, s, Superfunction.xi(m, r + s, r + index))
 
 
-def _embed_with_conjugates(phi: FockSuperfunction, naux: int,
-                           conjugate: bool) -> Superfunction:
-    """Relabel into the doubled odd algebra [xi | zeta1 zbar1 zeta2 zbar2 ...].
-
-    The relabeling is monotone in the bit order, so no sign appears.  With
-    ``conjugate`` the coefficients are conjugated and each holomorphic bit
-    lands on its conjugate partner.
-    """
+def _fock_dual(theta: float, phi: FockSuperfunction) -> Superfunction:
+    """The word map D_theta of ``inner_fock``."""
     r, s = phi.r, phi.s
-    W = r + 2 * s
-    shift = 1 if conjugate else 0
+    real = (1 << r) - 1
+    hol = ((1 << s) - 1) << r
     out: dict[int, ExpPolyFunction] = {}
     for word, fn in phi.fun.terms.items():
-        big = 0
-        w = word
-        while w:
-            k = (w & -w).bit_length() - 1
-            w &= w - 1
-            if k < r:
-                big |= 1 << k
-            elif k < r + s:
-                big |= 1 << (r + 2 * (k - r) + shift)
-            else:
-                big |= 1 << (W + (k - r - s))
-        out[big] = fn.conj() if conjugate else fn
-    return Superfunction(phi.m, W, out, naux)
+        H = word & hol
+        h = H.bit_count()
+        sign = (-1) ** ((r - (word & real).bit_count()) * s + h * (h + 1) // 2)
+        c = sign * eps(hol & ~H, H) * (2j) ** s * (-1j / theta) ** (s - h)
+        out[word ^ hol] = fn.scale(c)
+    return Superfunction(phi.m, r + s, out, phi.fun.naux)
 
 
 def inner_fock(theta: float, phi: FockSuperfunction, psi: FockSuperfunction):
     """<phi, psi> = (2i)^s * integral of conj(phi) psi e^{(i/theta) zeta zbar}.
 
-    The Gaussian weight is nilpotent, hence a finite product of pair factors;
+    The Gaussian weight pairs each holomorphic generator with its conjugate;
     the Berezin orientation takes the coefficient of the ordered top monomial
     (zeta^a before zbar^a) with one factor -1 per holomorphic pair, the choice
-    that makes the body pairing positive.  Returns a GrassmannElement when
-    auxiliary parameters are present.
+    that makes the body pairing positive.  Integrating the conjugates out
+    (Berezin's Fock-space calculus) leaves <phi, psi> = inner_l2(D phi, psi),
+    where, with real = bits 0..r-1, hol = bits r..r+s-1, H = I & hol, h = |H|,
+
+        (D phi)_{I ^ hol} = sigma(I) (2i)^s (-i/theta)^{s-h} phi_I,
+        sigma(I) = (-1)^{(r - |I & real|) s + h(h+1)/2} eps(hol & ~H, H).
+
+    A word of phi meets a word of psi at the top only with equal holomorphic
+    parts and complementary real parts, the weight gives i/theta for every
+    other holomorphic pair, the reordering sign depends on I alone, and the
+    constant is conjugated because ``inner_l2`` conjugates its first slot.
+    Returns a GrassmannElement when auxiliary parameters are present.
     """
     if (phi.m, phi.r, phi.s) != (psi.m, psi.r, psi.s):
         raise DimensionError("Fock factors live on different spaces")
-    m, r, s = phi.m, phi.r, phi.s
-    naux = max(phi.fun.naux, psi.fun.naux)
-    W = r + 2 * s
-    weight_terms: dict[int, ExpPolyFunction] = {}
-    for S in range(1 << s):
-        word = 0
-        for a in range(s):
-            if S >> a & 1:
-                word |= 0b11 << (r + 2 * a)
-        c = (1j / theta) ** int(S).bit_count()
-        weight_terms[word] = ExpPolyFunction.const(m, c)
-    weight = Superfunction(m, W, weight_terms, naux)
-    big = smul(smul(_embed_with_conjugates(phi, naux, True),
-                    _embed_with_conjugates(psi, naux, False)), weight)
-    val = sintegrate(big)
-    factor = (-1) ** s * (2j) ** s
-    if isinstance(val, GrassmannElement):
-        return val.scale(factor)
-    return val * factor
+    return inner_l2(_fock_dual(theta, phi), psi.fun)
 
 
 # ---------------------------------------------------------------------------

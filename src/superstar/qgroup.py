@@ -210,28 +210,22 @@ def _embed_leg(qctx: QGroupContext, g: Superfunction, leg: int, nlegs: int) -> S
     return substitute(g, images, N, M)
 
 
-def coproduct(qctx: QGroupContext, f: QGroupElement) -> Deferred:
+def coproduct(qctx: QGroupContext, f) -> Deferred:
     """Delta f((t1,z1),(t2,z2)) = f((t1,z1).(t2,z2)) = f(t1+t2, pi_{t2} z1 + z2):
-    each coefficient on leg 0, pulled back by the twist z1 -> pi_{t2} z1 + z2."""
+    the evaluation at t1 + t2 on leg 0, pulled back by the twist
+    z1 -> pi_{t2} z1 + z2."""
 
     def fn(t1, t2):
-        out = Superfunction.zero(2 * qctx.d, 2 * qctx.n)
-        for u, g in f.terms:
-            big = _coproduct_twist(qctx, _embed_leg(qctx, g, 0, 2), 0, 1, 2, t2)
-            out = out + big.scale(_u_eval(u, t1 + t2))
-        return out
+        return _coproduct_twist(qctx, _embed_leg(qctx, f.at(t1 + t2), 0, 2), 0, 1, 2, t2)
 
     return Deferred(2, fn)
 
 
-def counit(f: QGroupElement) -> complex:
-    """Evaluation at the group identity (t, z) = (0, 0)."""
-    d = f.qctx.d
-    total = 0j
-    for u, g in f.terms:
-        body = g.coefficient(0)
-        total += _u_eval(u, 0.0) * complex(body.eval(np.zeros((1, d)))[0])
-    return total
+def counit(f) -> complex:
+    """Evaluation at the group identity (t, z) = (0, 0); a function singular
+    at t = 0, such as a deformed product, raises there."""
+    g = f.at(0.0)
+    return complex(g.body().eval(np.zeros((1, g.m)))[0])
 
 
 def antipode(qctx: QGroupContext, f) -> Deferred:

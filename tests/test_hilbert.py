@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from superstar.errors import DimensionError, ParityError, SingularityError
 from superstar.exppoly import ExpPolyFunction, ep_integrate, ep_mul
+from superstar.grassmann import GrassmannElement
 from superstar.hilbert import (
     FockSuperfunction,
     GradedOperator,
+    _fock_dual,
     fundamental_symmetry,
     gram_matrix,
     inner_fock,
@@ -16,7 +18,7 @@ from superstar.hilbert import (
     scalar_J,
     superadjoint,
 )
-from superstar.superfun import Superfunction, sf_max_dev
+from superstar.superfun import Superfunction, sf_max_dev, sintegrate, smul
 
 THETA = 0.7
 
@@ -27,13 +29,13 @@ def rand_gauss(rng, m=1):
     return ExpPolyFunction.gaussian(m, A, b, complex(rng.normal(), rng.normal()))
 
 
-def rand_fun(rng, m, n, words=3):
+def rand_fun(rng, m, n, words=3, naux=0):
     terms = {}
-    for w in rng.integers(0, 1 << n, size=words):
+    for w in rng.integers(0, 1 << (n + naux), size=words):
         f = rand_gauss(rng, m)
         w = int(w)
         terms[w] = terms[w] + f if w in terms else f
-    return Superfunction(m, n, terms)
+    return Superfunction(m, n, terms, naux)
 
 
 def rand_homogeneous(rng, m, n, parity):
@@ -212,6 +214,83 @@ def test_fock_superhermitian():
                 lhs = np.conj(inner_fock(THETA, phi, psi))
                 rhs = (-1) ** (pf * pg) * inner_fock(THETA, psi, phi)
                 assert abs(lhs - rhs) <= 1e-10
+
+
+def embed_with_conjugates(phi, naux, conjugate):
+    """Relabel into the doubled odd algebra [xi | zeta1 zbar1 zeta2 zbar2 ... | aux].
+
+    The relabeling is monotone in the bit order, so no sign appears.  With
+    ``conjugate`` the coefficients are conjugated and each holomorphic bit
+    lands on its conjugate partner.
+    """
+    r, s = phi.r, phi.s
+    W = r + 2 * s
+    out = {}
+    for word, fn in phi.fun.terms.items():
+        big = 0
+        for k in range(r + s + naux):
+            if word >> k & 1:
+                if k < r:
+                    big |= 1 << k
+                elif k < r + s:
+                    big |= 1 << (r + 2 * (k - r) + conjugate)
+                else:
+                    big |= 1 << (W + k - r - s)
+        out[big] = fn.conj() if conjugate else fn
+    return Superfunction(phi.m, W, out, naux)
+
+
+def fock_reference(theta, phi, psi):
+    """The Fock pairing on the doubled algebra, term by term from its definition:
+    (-1)^s (2i)^s times the Berezin integral of conj(phi) psi times the weight
+    prod_a (1 + (i/theta) zeta_a zbar_a)."""
+    m, r, s = phi.m, phi.r, phi.s
+    naux = max(phi.fun.naux, psi.fun.naux)
+    weight = {}
+    for S in range(1 << s):
+        word = sum(0b11 << (r + 2 * a) for a in range(s) if S >> a & 1)
+        weight[word] = ExpPolyFunction.const(m, (1j / theta) ** bin(S).count("1"))
+    big = smul(smul(embed_with_conjugates(phi, naux, True),
+                    embed_with_conjugates(psi, naux, False)),
+               Superfunction(m, r + 2 * s, weight, naux))
+    val = sintegrate(big)
+    factor = (-1) ** s * (2j) ** s
+    return val.scale(factor) if isinstance(val, GrassmannElement) else val * factor
+
+
+def components(val):
+    return val.coeffs if isinstance(val, GrassmannElement) else {0: val}
+
+
+def rand_fock(rng, m, r, s, naux, words=4):
+    return FockSuperfunction(m, r, s, rand_fun(rng, m, r + s, words, naux))
+
+
+def test_fock_matches_doubled_space_reference():
+    rng = np.random.default_rng(139)
+    for m in (0, 1):
+        for r in range(3):
+            for s in range(4):
+                for naux in (0, 2):
+                    for theta in (0.7, -1.3):
+                        phi = rand_fock(rng, m, r, s, naux)
+                        psi = rand_fock(rng, m, r, s, naux)
+                        got = components(inner_fock(theta, phi, psi))
+                        want = components(fock_reference(theta, phi, psi))
+                        for word in set(got) | set(want):
+                            a, b = got.get(word, 0j), want.get(word, 0j)
+                            assert abs(a - b) <= 1e-14 * abs(b), (m, r, s, naux, theta, word)
+
+
+def test_fock_dual_flips_the_holomorphic_bits():
+    rng = np.random.default_rng(149)
+    for r in range(3):
+        for s in range(4):
+            hol = ((1 << s) - 1) << r
+            phi = rand_fock(rng, 1, r, s, 2, words=6)
+            dual = _fock_dual(THETA, phi)
+            assert set(dual.terms) == {w ^ hol for w in phi.fun.terms}
+            assert (dual.m, dual.n, dual.naux) == (1, r + s, 2)
 
 
 def test_fock_dimension_mismatch():
