@@ -184,15 +184,15 @@ def group_inverse(g: GroupElement) -> GroupElement:
 # the representation
 
 
-def _exp_nilpotent(N_fun: Superfunction) -> Superfunction:
-    """exp of a superfunction every term of which carries an auxiliary bit."""
-    acc = Superfunction.one(N_fun.m, N_fun.n)
+def _exp_nilpotent(N: GrassmannElement) -> GrassmannElement:
+    """exp of a Grassmann element every word of which carries an auxiliary bit."""
+    acc = GrassmannElement.one(N.n)
     term = acc
     k = 0
     while True:
         k += 1
-        term = smul(term, N_fun).scale(1.0 / k)
-        if not term.terms:
+        term = term.wedge(N).scale(1.0 / k)
+        if not term.coeffs:
             return acc
         acc = acc + term
 
@@ -241,7 +241,8 @@ def representation(ctx: HeisenbergContext, g: GroupElement,
         for w, cw in _widen(g.zetabar[cidx], naux).coeffs.items():
             add((1 << (r + cidx)) | (w << n), -lam * cw / 2)
 
-    prefactor = Superfunction(m, n, {0: base}, naux)
-    if nil:
-        prefactor = smul(prefactor, _exp_nilpotent(Superfunction(m, n, nil, naux)))
+    # the nilpotent part has constant coefficients: its exponential is a
+    # Grassmann element on the n + naux generators
+    phase = _exp_nilpotent(GrassmannElement(n + naux, nil))
+    prefactor = Superfunction(m, n, {w: base.scale(c) for w, c in phase.coeffs.items()}, naux)
     return FockSuperfunction(m, r, s, smul(prefactor, shifted))

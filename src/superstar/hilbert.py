@@ -20,7 +20,7 @@ relation <T' x, y> = (-1)^{|T||x|} <x, T y>, solved in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class FockSuperfunction:
     m: int
     r: int
     s: int
-    fun: Superfunction = field(compare=False)
+    fun: Superfunction
 
     def __post_init__(self):
         if self.fun.m != self.m or self.fun.n != self.r + self.s:

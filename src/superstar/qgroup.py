@@ -3,9 +3,11 @@
 The function space is spanned by separable terms u(t) f(z) with u a smooth
 profile of the dilation coordinate t and f a superfunction of z.  The product
 deforms only the z-direction, with deformation parameter theta = t, so the
-product of two elements is characterized by its evaluations at fixed t != 0;
-t-dependence that leaves the symbolic profile class (phases like e^{-2i/t})
-is handled by deferred evaluation, never by a closed form in t.
+product of two elements is characterized by its evaluations at fixed t != 0.
+Products and Hopf operations take the t-dependence out of the symbolic
+profile class (phases like e^{-2i/t}), so every element, on one leg or on
+several, is one type: a ``QGroupElement`` evaluated at a t-tuple on demand
+and cached, never a closed form in t.
 
 Group law, with pi_t the one-parameter dilation of the symplectic part:
 
@@ -54,7 +56,6 @@ from .superfun import (
 __all__ = [
     "QGroupContext",
     "QGroupElement",
-    "Deferred",
     "qg_star",
     "coproduct",
     "counit",
@@ -110,64 +111,11 @@ class QGroupContext:
         return DeformationContext(float(t), self.m, self.n, self.odd_signature)
 
 
-def _u_eval(u: ExpPolyFunction, t: float) -> complex:
-    return complex(u.eval(np.array([[float(t)]]))[0])
-
-
 class QGroupElement:
-    """Finite sum of separable terms u(t) f(z); evaluable at every t."""
-
-    __slots__ = ("qctx", "terms")
-
-    def __init__(self, qctx: QGroupContext,
-                 terms: list[tuple[ExpPolyFunction, Superfunction]]):
-        self.qctx = qctx
-        checked = []
-        for u, f in terms:
-            if u.d != 1:
-                raise DimensionError("t-profile must be a function of one variable")
-            if f.m != qctx.d or f.n != qctx.n:
-                raise DimensionError(
-                    f"z-part on ({f.m}|{f.n}) does not match group ({qctx.d}|{qctx.n})")
-            checked.append((u, f))
-        self.terms = tuple(checked)
-
-    # -- constructors ----------------------------------------------------------
-    @classmethod
-    def constant(cls, qctx: QGroupContext, c=1.0) -> "QGroupElement":
-        return cls(qctx, [(ExpPolyFunction.const(1, c),
-                           Superfunction.one(qctx.d, qctx.n))])
-
-    @classmethod
-    def separable(cls, qctx: QGroupContext, u: ExpPolyFunction,
-                  f: Superfunction) -> "QGroupElement":
-        return cls(qctx, [(u, f)])
-
-    # -- linear structure -------------------------------------------------------
-    def __add__(self, other: "QGroupElement") -> "QGroupElement":
-        if self.qctx != other.qctx:
-            raise DimensionError("elements on different quantum supergroups")
-        return QGroupElement(self.qctx, list(self.terms) + list(other.terms))
-
-    def scale(self, c) -> "QGroupElement":
-        return QGroupElement(self.qctx, [(u.scale(c), f) for u, f in self.terms])
-
-    @property
-    def nlegs(self) -> int:
-        return 1
-
-    def at(self, t: float) -> Superfunction:
-        out = Superfunction.zero(self.qctx.d, self.qctx.n)
-        for u, f in self.terms:
-            out = out + f.scale(_u_eval(u, t))
-        return out
-
-
-class Deferred:
-    """t-lazy element on ``nlegs`` legs: evaluation at a t-tuple yields a
-    Superfunction on the legs' z-variables.  Results are cached per t-tuple;
-    the cache is confined to this object (one per verification run).  A
-    function singular at some t raises there itself."""
+    """Element on ``nlegs`` legs, evaluated lazily in t: ``at`` at a t-tuple
+    yields a Superfunction on the legs' z-variables.  Results are cached per
+    t-tuple; the cache is confined to this object (one per verification
+    run).  A function singular at some t raises there itself."""
 
     __slots__ = ("nlegs", "_fn", "_cache")
 
@@ -175,6 +123,22 @@ class Deferred:
         self.nlegs = nlegs
         self._fn = fn
         self._cache: dict[tuple[float, ...], Superfunction] = {}
+
+    @classmethod
+    def constant(cls, qctx: QGroupContext, c=1.0) -> "QGroupElement":
+        return cls.separable(qctx, ExpPolyFunction.const(1, c),
+                             Superfunction.one(qctx.d, qctx.n))
+
+    @classmethod
+    def separable(cls, qctx: QGroupContext, u: ExpPolyFunction,
+                  f: Superfunction) -> "QGroupElement":
+        """The one-leg element u(t) f(z)."""
+        if u.d != 1:
+            raise DimensionError("t-profile must be a function of one variable")
+        if f.m != qctx.d or f.n != qctx.n:
+            raise DimensionError(
+                f"z-part on ({f.m}|{f.n}) does not match group ({qctx.d}|{qctx.n})")
+        return cls(1, lambda t: f.scale(complex(u.eval(np.array([[t]]))[0])))
 
     def at(self, *ts: float) -> Superfunction:
         if len(ts) != self.nlegs:
@@ -189,7 +153,7 @@ class Deferred:
 # product and Hopf operations
 
 
-def qg_star(qctx: QGroupContext, f1, f2) -> Deferred:
+def qg_star(qctx: QGroupContext, f1, f2) -> QGroupElement:
     """Deformed product on G': at each t, the flat deformed product with
     theta = t (signed); singular at t = 0."""
 
@@ -197,7 +161,7 @@ def qg_star(qctx: QGroupContext, f1, f2) -> Deferred:
         ctx = qctx.star_context(t)
         return star(ctx, f1.at(t), f2.at(t))
 
-    return Deferred(1, fn)
+    return QGroupElement(1, fn)
 
 
 def _embed_leg(qctx: QGroupContext, g: Superfunction, leg: int, nlegs: int) -> Superfunction:
@@ -210,7 +174,7 @@ def _embed_leg(qctx: QGroupContext, g: Superfunction, leg: int, nlegs: int) -> S
     return substitute(g, images, N, M)
 
 
-def coproduct(qctx: QGroupContext, f) -> Deferred:
+def coproduct(qctx: QGroupContext, f) -> QGroupElement:
     """Delta f((t1,z1),(t2,z2)) = f((t1,z1).(t2,z2)) = f(t1+t2, pi_{t2} z1 + z2):
     the evaluation at t1 + t2 on leg 0, pulled back by the twist
     z1 -> pi_{t2} z1 + z2."""
@@ -218,7 +182,7 @@ def coproduct(qctx: QGroupContext, f) -> Deferred:
     def fn(t1, t2):
         return _coproduct_twist(qctx, _embed_leg(qctx, f.at(t1 + t2), 0, 2), 0, 1, 2, t2)
 
-    return Deferred(2, fn)
+    return QGroupElement(2, fn)
 
 
 def counit(f) -> complex:
@@ -228,7 +192,7 @@ def counit(f) -> complex:
     return complex(g.body().eval(np.zeros((1, g.m)))[0])
 
 
-def antipode(qctx: QGroupContext, f) -> Deferred:
+def antipode(qctx: QGroupContext, f) -> QGroupElement:
     """S(f)(t, z) = f((t,z)^{-1}) = f(-t, -pi_{-t} z); deferred since the
     dilation factors are not symbolic profiles in t."""
     d, n = qctx.d, qctx.n
@@ -239,15 +203,15 @@ def antipode(qctx: QGroupContext, f) -> Deferred:
         g = f.at(-t)
         return substitute(g, images, n, M)
 
-    return Deferred(1, fn)
+    return QGroupElement(1, fn)
 
 
 # ---------------------------------------------------------------------------
 # multi-leg machinery and the multiplicative unitary
 
 
-def tensor(qctx: QGroupContext, legs) -> Deferred:
-    """f_1 (x) ... (x) f_N as a deferred N-leg element."""
+def tensor(qctx: QGroupContext, legs) -> QGroupElement:
+    """f_1 (x) ... (x) f_N as an N-leg element."""
     legs = list(legs)
     N = len(legs)
 
@@ -258,7 +222,7 @@ def tensor(qctx: QGroupContext, legs) -> Deferred:
             out = piece if out is None else smul(out, piece)
         return out
 
-    return Deferred(N, fn)
+    return QGroupElement(N, fn)
 
 
 def _split_leg(qctx: QGroupContext, G: Superfunction, j: int, nlegs: int):
@@ -319,7 +283,7 @@ def _coproduct_twist(qctx: QGroupContext, G: Superfunction, i: int, j: int,
     return substitute(G, images, N, M)
 
 
-def w_apply(qctx: QGroupContext, F, i: int, j: int) -> Deferred:
+def w_apply(qctx: QGroupContext, F, i: int, j: int) -> QGroupElement:
     """The multiplicative-unitary analogue on legs (i, j) of ``F``:
 
         W_ij = (Delta_i on legs (i, j))  then deformed product against the
@@ -346,7 +310,7 @@ def w_apply(qctx: QGroupContext, F, i: int, j: int) -> Deferred:
             out = out + star_general(Rt, S, blocks, gens).scale(sign)
         return out
 
-    return Deferred(N, fn)
+    return QGroupElement(N, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +338,7 @@ def _sample_elements(qctx: QGroupContext, rng, count: int,
                     d, A, 0.4 * rng.normal(size=d),
                     complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
             terms[word] = terms[word] + fn if word in terms else fn
-        out.append(QGroupElement(qctx, [(u, Superfunction(d, n, terms))]))
+        out.append(QGroupElement.separable(qctx, u, Superfunction(d, n, terms)))
     return out
 
 

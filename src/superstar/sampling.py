@@ -24,6 +24,7 @@ __all__ = [
     "random_star_factor",
     "random_oracle_factor",
     "random_integrable_factor",
+    "random_trig_superpolynomial",
     "random_odd_aux_shifts",
 ]
 
@@ -123,6 +124,22 @@ def random_oracle_factor(rng: np.random.Generator, ctx: DeformationContext,
 def random_integrable_factor(rng: np.random.Generator, ctx: DeformationContext) -> Superfunction:
     """Factor whose coefficients all decay (for tracial-property samples)."""
     return random_star_factor(rng, ctx, kinds=("gaussian",))
+
+
+def random_trig_superpolynomial(rng: np.random.Generator,
+                                ctx: DeformationContext) -> Superfunction:
+    """One or two integer plane waves e^{2 pi i k.x}, k in {-2..2}^{2m}, on
+    random odd words: the class whose deformation is the supertorus."""
+    d = 2 * ctx.m
+    n = ctx.n
+    terms: dict[int, ExpPolyFunction] = {}
+    for _ in range(int(rng.integers(1, 3))):
+        k = 2 * np.pi * rng.integers(-2, 3, size=d)
+        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        word = int(rng.integers(0, 1 << n)) if n else 0
+        pw = ExpPolyFunction.plane_wave(d, k, c)
+        terms[word] = terms[word] + pw if word in terms else pw
+    return Superfunction(d, n, terms)
 
 
 def random_odd_aux_shifts(rng: np.random.Generator, n: int,

@@ -1,7 +1,8 @@
 """Universal deformation of translation-action algebras.
 
-Given an action rho of the flat supergroup R^{2m|n} on a superfunction
-algebra, the deformed product of two smooth vectors a, b is
+The flat supergroup R^{2m|n} acts on superfunctions by translation,
+rho_z(a)(x, xi) = a(x + z, xi + xi_z).  The deformed product of two smooth
+vectors a, b is
 
     a *_theta b = (rho^a  star  rho^b)(0)
 
@@ -11,12 +12,14 @@ a doubled superspace: even coordinates [x | z], odd generators [xi | xi_z],
 with the star product active only on the z-block, followed by evaluation at
 z = 0.
 
-Two action algebras ship: the full integrable star class on R^{2m|n}
+``smooth_vector`` states that action once, as one pull-back, and the tests
+check its axioms on it.  The ``udf`` suite samples two classes the action
+preserves, drawn by ``sampling``: the integrable star class on R^{2m|n}
 ("B1-class", where the deformed product reproduces the flat star product
-itself), and trigonometric superpolynomials ("trig-superpolynomials", integer
-plane waves times odd monomials, whose deformation is the noncommutative
-supertorus).  ``torus_vs_udf`` derives — rather than assumes — the parameter
-map and odd-generator rescaling under which the finitely presented supertorus
+itself), and trigonometric superpolynomials (integer plane waves times odd
+monomials, whose deformation is the noncommutative supertorus).
+``torus_vs_udf`` derives — rather than assumes — the parameter map and
+odd-generator rescaling under which the finitely presented supertorus
 coincides with the deformed trigonometric algebra, and checks every
 generator-pair product through both engines.
 """
@@ -24,152 +27,39 @@ generator-pair product through both engines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
 from .exppoly import ExpPolyFunction, worst_dev
 from .grassmann import GrassmannElement
-from .sampling import random_star_factor
 from .starprod import DeformationContext, star_general
-from .superfun import (
-    Superfunction,
-    grassmann_translate,
-    sf_max_dev,
-    smul,
-    substitute,
-)
+from .superfun import Superfunction, sf_max_dev, substitute
 from .supertorus import SupertorusElement
 
 __all__ = [
-    "ActionSpec",
+    "smooth_vector",
     "udf_product",
     "torus_vs_udf",
 ]
 
-_TAGS = ("B1-class", "trig-superpolynomials")
 
-
-@dataclass(frozen=True)
-class ActionSpec:
-    """Translation action of R^{2m|n} on one of the shipped term classes.
-
-    The four action axioms (additivity in the group coordinate, pointwise
-    algebra automorphism, continuity of the coefficient maps, isometry
-    |rho_x(a)_I| <= |a|) are checked on random samples, seeded with 0, at
-    construction.
-    """
-
-    tag: str
-    ctx: DeformationContext
-
-    def __post_init__(self):
-        if self.tag not in _TAGS:
-            raise ValueError(f"unknown action algebra tag {self.tag!r}; "
-                             f"expected one of {_TAGS}")
-        self._check_axioms(np.random.default_rng(0))
-
-    # -- the action itself ----------------------------------------------------
-    def translate(self, a: Superfunction, x, odd_shifts=None) -> Superfunction:
-        """rho_z(a) for z = (x, eta): shift every argument of ``a``."""
-        d = 2 * self.ctx.m
-        if a.m != d or a.n != self.ctx.n:
-            raise DimensionError(
-                f"element on ({a.m}|{a.n}) does not match action on ({d}|{self.ctx.n})")
-        out = a.translate_even(np.asarray(x, dtype=float)) if d else a
-        if odd_shifts is not None:
-            out = grassmann_translate(out, odd_shifts)
-        return out
-
-    def smooth_vector(self, a: Superfunction) -> Superfunction:
-        """rho^a(z) = rho_z(a) on the doubled superspace [x | z], [xi | xi_z]."""
-        d = 2 * self.ctx.m
-        n = self.ctx.n
-        if a.m != d or a.n != self.ctx.n:
-            raise DimensionError(
-                f"element on ({a.m}|{a.n}) does not match action on ({d}|{n})")
-        M = np.hstack([np.eye(d), np.eye(d)])  # x_source = x' + z
-        width = 2 * n + a.naux
-        images = [GrassmannElement.monomial(width, 1 << k)
-                  + GrassmannElement.monomial(width, 1 << (n + k))
-                  for k in range(n)]
-        images += [GrassmannElement.monomial(width, 1 << (2 * n + k))
-                   for k in range(a.naux)]
-        return substitute(a, images, 2 * n, M)
-
-    # -- sampling in the term class --------------------------------------------
-    def sample(self, rng, count: int) -> list[Superfunction]:
-        d = 2 * self.ctx.m
-        n = self.ctx.n
-        out = []
-        for _ in range(count):
-            if self.tag == "B1-class":
-                out.append(random_star_factor(rng, self.ctx,
-                                              kinds=("gaussian", "pw")))
-            else:
-                terms: dict[int, ExpPolyFunction] = {}
-                for _ in range(int(rng.integers(1, 3))):
-                    k = 2 * np.pi * rng.integers(-2, 3, size=d)
-                    c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                    word = int(rng.integers(0, 1 << n)) if n else 0
-                    pw = ExpPolyFunction.plane_wave(d, k, c)
-                    terms[word] = terms[word] + pw if word in terms else pw
-                out.append(Superfunction(d, n, terms))
-        return out
-
-    # -- sampled axiom checks ---------------------------------------------------
-    def _check_axioms(self, rng) -> None:
-        d = 2 * self.ctx.m
-        n = self.ctx.n
-        samples = self.sample(rng, 2)
-        grid = rng.uniform(-1.2, 1.2, size=(12, d)) if d else np.zeros((1, 0))
-
-        def seminorm(f: Superfunction, points) -> float:
-            tot = 0.0
-            for w in f.terms:
-                vals = f.coefficient(w).eval(points)
-                tot = max(tot, float(np.max(np.abs(vals))))
-            return tot
-
-        for a in samples:
-            # additive in z, with identity at z = 0
-            if sf_max_dev(self.translate(a, np.zeros(d)), a) > 1e-12:
-                raise AssertionError("action axiom violated: rho_0 != id")
-            x1 = rng.uniform(-1, 1, size=d)
-            x2 = rng.uniform(-1, 1, size=d)
-            eta1 = [GrassmannElement.monomial(2 * n, 1 << k,
-                                              complex(rng.uniform(-1, 1)))
-                    for k in range(n)]
-            eta2 = [GrassmannElement.monomial(2 * n, 1 << (n + k),
-                                              complex(rng.uniform(-1, 1)))
-                    for k in range(n)]
-            eta12 = [e1 + e2 for e1, e2 in zip(eta1, eta2)]
-            two_step = self.translate(self.translate(a, x1, eta1 or None),
-                                      x2, eta2 or None)
-            one_step = self.translate(a, x1 + x2, eta12 or None)
-            if sf_max_dev(two_step, one_step) > 1e-10:
-                raise AssertionError(
-                    "action axiom violated: rho_{z1+z2} != rho_{z1} rho_{z2}")
-            # continuity of the coefficient maps x -> rho_x(a)_I
-            if d:
-                step = 1e-6 * np.ones(d)
-                drift = sf_max_dev(self.translate(a, step), a)
-                if drift > 1e-3 * (1.0 + seminorm(a, grid)):
-                    raise AssertionError(
-                        "action axiom violated: coefficients not continuous in x")
-            # isometry |rho_x(a)_I| <= |a| on a sample grid
-            shifted = self.translate(a, x1)
-            bound = seminorm(a, grid + x1) + 1e-9
-            if seminorm(shifted, grid) > bound:
-                raise AssertionError("action axiom violated: not isometric")
-        # pointwise algebra automorphism
-        a, b = samples
-        x = rng.uniform(-1, 1, size=d)
-        if sf_max_dev(self.translate(smul(a, b), x),
-                      smul(self.translate(a, x), self.translate(b, x))) > 1e-9:
-            raise AssertionError(
-                "action axiom violated: rho_z is not an algebra automorphism")
+def smooth_vector(ctx: DeformationContext, a: Superfunction) -> Superfunction:
+    """rho^a(z) = rho_z(a) on the doubled superspace [x | z], [xi | xi_z]:
+    the translation action x -> x + z, xi -> xi + xi_z as one pull-back."""
+    d = 2 * ctx.m
+    n = ctx.n
+    if a.m != d or a.n != n:
+        raise DimensionError(
+            f"element on ({a.m}|{a.n}) does not match action on ({d}|{n})")
+    M = np.hstack([np.eye(d), np.eye(d)])  # x_source = x' + z
+    width = 2 * n + a.naux
+    images = [GrassmannElement.monomial(width, 1 << k)
+              + GrassmannElement.monomial(width, 1 << (n + k))
+              for k in range(n)]
+    images += [GrassmannElement.monomial(width, 1 << (2 * n + k))
+               for k in range(a.naux)]
+    return substitute(a, images, 2 * n, M)
 
 
 def _eval_group_origin(f: Superfunction, ctx: DeformationContext) -> Superfunction:
@@ -185,13 +75,12 @@ def _eval_group_origin(f: Superfunction, ctx: DeformationContext) -> Superfuncti
     return substitute(f, images, n, M)
 
 
-def udf_product(spec: ActionSpec, a: Superfunction, b: Superfunction) -> Superfunction:
+def udf_product(ctx: DeformationContext, a: Superfunction, b: Superfunction) -> Superfunction:
     """Deformed product (rho^a star rho^b)(0) on the action algebra."""
-    ctx = spec.ctx
     d = 2 * ctx.m
     n = ctx.n
-    ra = spec.smooth_vector(a)
-    rb = spec.smooth_vector(b)
+    ra = smooth_vector(ctx, a)
+    rb = smooth_vector(ctx, b)
     blocks = [(tuple(range(d, 2 * d)), ctx.theta)] if ctx.m else []
     gens = [(n + k + 1, e, ctx.theta) for k, e in enumerate(ctx.eta)]
     st = star_general(ra, rb, blocks, gens)
@@ -242,7 +131,6 @@ def torus_vs_udf(ctx: DeformationContext, tol: float = 1e-9) -> dict:
     report with per-pair deviations and the first pair that misses ``tol``,
     if any.
     """
-    spec = ActionSpec("trig-superpolynomials", ctx)
     m, n = ctx.m, ctx.n
     p, q = ctx.odd_signature
     d = 2 * m
@@ -257,8 +145,8 @@ def torus_vs_udf(ctx: DeformationContext, tol: float = 1e-9) -> dict:
         V1 = SupertorusElement.V(m, p, q, 1)
         fU = _map_torus_element(U1, ctx, theta_torus, 1.0)
         fV = _map_torus_element(V1, ctx, theta_torus, 1.0)
-        uv = udf_product(spec, fU, fV)
-        vu = udf_product(spec, fV, fU)
+        uv = udf_product(ctx, fU, fV)
+        vu = udf_product(ctx, fV, fU)
         word = 0
         ratio = (_first_coefficient(vu.coefficient(word))
                  / _first_coefficient(uv.coefficient(word)))
@@ -294,7 +182,7 @@ def torus_vs_udf(ctx: DeformationContext, tol: float = 1e-9) -> dict:
     for name1, g1 in gens:
         for name2, g2 in gens:
             through_torus = _map_torus_element(g1 * g2, ctx, theta_torus, odd_scale)
-            through_udf = udf_product(spec,
+            through_udf = udf_product(ctx,
                                       _map_torus_element(g1, ctx, theta_torus, odd_scale),
                                       _map_torus_element(g2, ctx, theta_torus, odd_scale))
             dev = sf_max_dev(through_torus, through_udf)

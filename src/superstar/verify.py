@@ -23,8 +23,8 @@ Suites
                 superadjoint laws for graded operators
 ``heisenberg``  representation property and superunitarity of the integrated
                 phase-space action
-``udf``         associativity of the universal deformation product per shipped
-                action class, and the supertorus cross-check
+``udf``         associativity of the universal deformation product on two
+                sampled classes, and the supertorus cross-check
 ``torus``       presentation relations, dagger laws, and exhaustive confluence
                 of the rewrite rules on short words
 ``qgroup``      pentagon identity and superunitarity of the multiplicative
@@ -64,6 +64,7 @@ from .sampling import (
     random_odd_aux_shifts,
     random_oracle_factor,
     random_star_factor,
+    random_trig_superpolynomial,
 )
 from .starprod import DeformationContext, star, star_oracle
 from .superfun import (
@@ -74,7 +75,7 @@ from .superfun import (
     smul,
 )
 from .supertorus import SupertorusElement, TorusScalar, torus_dagger, torus_mul, torus_normal_form
-from .udf import ActionSpec, torus_vs_udf, udf_product
+from .udf import torus_vs_udf, udf_product
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_all"]
 
@@ -212,7 +213,8 @@ def verify_star(*, tol: float | None = None, seed: int = 0) -> dict:
     * closed-form product vs. the quadrature oracle (200 pairs),
     * associativity on random three-factor products (200 triples),
     * traciality: the integral of a deformed product equals the integral of
-      the pointwise product (100 integrable pairs, relative deviation),
+      the pointwise product (100 pairs of integrable factors, relative
+      deviation; a product that is not integrable fails its case),
     * invariance under even translations and under odd shifts by auxiliary
       Grassmann parameters (50 cases each).
     """
@@ -240,14 +242,13 @@ def verify_star(*, tol: float | None = None, seed: int = 0) -> dict:
 
     rng = _rng(seed, 17)
     devs = []
-    for attempt in range(1, 501):
-        if len(devs) == 100:
-            break
-        ctx = pool[attempt % len(pool)]
+    for i in range(1, 101):
+        ctx = pool[i % len(pool)]
         f = random_integrable_factor(rng, ctx)
         g = random_integrable_factor(rng, ctx)
         prod = star(ctx, f, g)
         if not all(fn.integrable for fn in prod.terms.values()):
+            devs.append(math.nan)  # the case fails: there is no trace to compare
             continue
         lhs = sintegrate(prod)
         rhs = sintegrate(smul(f, g))
@@ -516,27 +517,29 @@ def verify_heisenberg(*, tol: float | None = None, seed: int = 0) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# udf: universal deformation formula for isometric actions
+# udf: universal deformation formula for the translation action
 # ---------------------------------------------------------------------------
 
 
 def verify_udf(*, tol: float | None = None, seed: int = 0) -> dict:
     """Universal deformation product battery.
 
-    * associativity on 100 random triples for each shipped action class,
+    * associativity on 100 random triples in each of two sampled classes,
     * the deformed generator algebra of the periodic action reproduces the
       supertorus presentation under a single consistent rescaling.
     """
     ctx = DeformationContext(0.7, 1, 2, (1, 1))
+    b1_class = lambda rng: random_star_factor(rng, ctx, kinds=("gaussian", "pw"))
+    trig = lambda rng: random_trig_superpolynomial(rng, ctx)
     checks = []
-    for salt, tag in ((61, "B1-class"), (67, "trig-superpolynomials")):
-        spec = ActionSpec(tag, ctx)
+    for salt, tag, sample in ((61, "B1-class", b1_class),
+                              (67, "trig-superpolynomials", trig)):
         rng = _rng(seed, salt)
         devs = []
         for _ in range(100):
-            f, g, h = spec.sample(rng, 3)
-            lhs = udf_product(spec, udf_product(spec, f, g), h)
-            rhs = udf_product(spec, f, udf_product(spec, g, h))
+            f, g, h = sample(rng), sample(rng), sample(rng)
+            lhs = udf_product(ctx, udf_product(ctx, f, g), h)
+            rhs = udf_product(ctx, f, udf_product(ctx, g, h))
             devs.append(sf_max_dev(lhs, rhs))
         checks.append(_check(f"associativity-{tag}", devs, tol, default=1e-10))
 

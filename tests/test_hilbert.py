@@ -164,6 +164,12 @@ def test_scalar_j_positivity():
 # Fock pairing
 
 
+def test_fock_equality_compares_the_function():
+    one = FockSuperfunction.one(1, 1, 1)
+    assert one == FockSuperfunction.one(1, 1, 1)
+    assert one != FockSuperfunction.zeta(1, 1, 1, 1)
+
+
 def test_fock_s0_reduces_to_l2():
     rng = np.random.default_rng(97)
     for _ in range(5):

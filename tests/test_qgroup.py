@@ -11,7 +11,6 @@ from superstar.errors import ClassError, DimensionError, SingularityError
 from superstar.exppoly import ExpPolyFunction
 from superstar.grassmann import GrassmannElement
 from superstar.qgroup import (
-    Deferred,
     QGroupContext,
     QGroupElement,
     antipode,
@@ -92,13 +91,10 @@ def test_dilation_has_unit_determinant_per_pair():
 def test_element_validation():
     bad_u = ExpPolyFunction.const(2, 1.0)
     with pytest.raises(DimensionError):
-        QGroupElement(QCTX, [(bad_u, Superfunction.one(QCTX.d, QCTX.n))])
+        QGroupElement.separable(QCTX, bad_u, Superfunction.one(QCTX.d, QCTX.n))
     with pytest.raises(DimensionError):
-        QGroupElement(QCTX, [(ExpPolyFunction.const(1, 1.0),
-                              Superfunction.one(4, 1))])
-    other = QGroupContext(1, 1)
-    with pytest.raises(DimensionError):
-        QGroupElement.constant(QCTX) + QGroupElement.constant(other)
+        QGroupElement.separable(QCTX, ExpPolyFunction.const(1, 1.0),
+                                Superfunction.one(4, 1))
 
 
 def test_deferred_caches_and_validates():
@@ -108,7 +104,7 @@ def test_deferred_caches_and_validates():
         calls.append(t)
         return Superfunction.one(QCTX.d, QCTX.n)
 
-    dfr = Deferred(1, fn)
+    dfr = QGroupElement(1, fn)
     dfr.at(0.5)
     dfr.at(0.5)
     assert len(calls) == 1
@@ -285,7 +281,7 @@ def test_w_is_linear():
     def combined(t1, t2):
         return Ta.at(t1, t2) + Tb.at(t1, t2).scale(0.5 - 0.25j)
 
-    Wsum = w_apply(QCTX, Deferred(2, combined), 0, 1)
+    Wsum = w_apply(QCTX, QGroupElement(2, combined), 0, 1)
     Wa = w_apply(QCTX, Ta, 0, 1)
     Wb = w_apply(QCTX, Tb, 0, 1)
     for ts in [(0.8, 0.6), (-0.9, -0.4)]:
@@ -324,7 +320,7 @@ def test_w_apply_rejects_gaussian_cross_coupling():
     A[0, d] = A[d, 0] = -0.2
     A -= 0.5 * np.eye(D)
     coupled = Superfunction(D, 2 * n, {0: ExpPolyFunction.gaussian(D, A, np.zeros(D))})
-    F = Deferred(2, lambda t1, t2: coupled)
+    F = QGroupElement(2, lambda t1, t2: coupled)
     W = w_apply(QCTX, F, 0, 1)
     with pytest.raises(ClassError):
         W.at(0.5, 0.7)

@@ -120,6 +120,28 @@ def test_nan_in_one_superunitarity_slice_fails_its_record(monkeypatch):
     assert rep["passed"] is False
 
 
+def test_non_integrable_traciality_product_fails_its_case(monkeypatch):
+    # the first traciality pair becomes 1 and 1, whose product has no
+    # integral: that case must fail the record, not be skipped for a new draw
+    from superstar.superfun import Superfunction
+
+    original = verify.random_integrable_factor
+    calls = []
+
+    def first_pair_is_one(rng, ctx):
+        calls.append(None)
+        f = original(rng, ctx)
+        return Superfunction.one(2 * ctx.m, ctx.n) if len(calls) <= 2 else f
+
+    monkeypatch.setattr(verify, "random_integrable_factor", first_pair_is_one)
+    rep = run_suite("star", seed=0)
+    (trace,) = [c for c in rep["checks"] if c["check"] == "traciality-relative"]
+    assert trace["cases"] == 100
+    assert trace["max_deviation"] is None
+    assert trace["passed"] is False
+    assert rep["passed"] is False
+
+
 def test_eps_universe_size_is_configurable():
     rep3 = run_suite("eps", n=3)
     rep4 = run_suite("eps", n=4)
