@@ -95,11 +95,6 @@ class QGroupContext:
     def d(self) -> int:
         return 2 * self.m
 
-    @property
-    def eta(self) -> tuple[int, ...]:
-        p, q = self.odd_signature
-        return (1,) * p + (-1,) * q
-
     def dilation_diag(self, t: float) -> np.ndarray:
         """Diagonal of pi_t on the even coordinates (q_1..q_m, p_1..p_m)."""
         w = np.asarray(self.dilation_weights, dtype=float)
@@ -193,8 +188,8 @@ def counit(f) -> complex:
 
 
 def antipode(qctx: QGroupContext, f) -> QGroupElement:
-    """S(f)(t, z) = f((t,z)^{-1}) = f(-t, -pi_{-t} z); deferred since the
-    dilation factors are not symbolic profiles in t."""
+    """S(f)(t, z) = f((t,z)^{-1}) = f(-t, -pi_{-t} z); evaluated per t since
+    the dilation factors are not symbolic profiles in t."""
     d, n = qctx.d, qctx.n
 
     def fn(t):
@@ -297,17 +292,14 @@ def w_apply(qctx: QGroupContext, F, i: int, j: int) -> QGroupElement:
 
     def fn(*ts):
         t_j = ts[j]
-        if t_j == 0:
-            raise SingularityError("the deformed product is singular at t = 0")
+        blocks = [(qctx.star_context(t_j), j * d, j * n)]
         ts_F = list(ts)
         ts_F[i] = ts[i] + t_j
         G = F.at(*ts_F)
-        blocks = [(tuple(range(j * d, (j + 1) * d)), t_j)] if qctx.m else []
-        gens = [(j * n + k + 1, e, t_j) for k, e in enumerate(qctx.eta)]
         out = Superfunction.zero(N * d, N * n)
         for R, S, sign in _split_leg(qctx, G, j, N):
             Rt = _coproduct_twist(qctx, R, i, j, N, t_j)
-            out = out + star_general(Rt, S, blocks, gens).scale(sign)
+            out = out + star_general(Rt, S, blocks).scale(sign)
         return out
 
     return QGroupElement(N, fn)

@@ -1,7 +1,8 @@
 """The deformed product on flat superspace, in two independent implementations.
 
-The *engine* (:func:`star`, and the multi-block generalization
-:func:`star_general`) evaluates the oscillatory kernel integral
+The *engine* (:func:`star`, and :func:`star_general`, which places whole
+contexts on part of a larger superspace) evaluates the oscillatory kernel
+integral
 
     (f1 * f2)(z) = pref * int dz1 dz2  e^{-(2i/theta) omega(z1,z2)} f1(z+z1) f2(z+z2)
 
@@ -62,21 +63,13 @@ __all__ = [
     "star_oracle",
 ]
 
-# (coords, theta) pairs: coords lists the block's even coordinates in the
-# order (q_1..q_k, p_1..p_k), so the block symplectic matrix is
-# [[0, 1_k], [-1_k, 0]] in that order.
-EvenBlock = tuple[tuple[int, ...], float]
-# (1-based odd generator index, signature +-1, theta)
-OddGen = tuple[int, int, float]
-
-
 @dataclass(frozen=True)
 class DeformationContext:
     """Deformation data for R^{2m|n}: theta, dimensions, odd signature (p, q).
 
     theta may have either sign (the quantum-supergroup module evaluates its
-    deferred products at sampled group coordinates t of both signs); it must
-    be nonzero and finite.
+    products at sampled group coordinates t of both signs); it must be
+    nonzero and finite.
     """
 
     theta: float
@@ -104,14 +97,6 @@ class DeformationContext:
         """The 2m x 2m symplectic form [[0, 1_m], [-1_m, 0]]."""
         one, zero = np.eye(self.m), np.zeros((self.m, self.m))
         return np.block([[zero, one], [-one, zero]])
-
-    def even_blocks(self) -> tuple[EvenBlock, ...]:
-        if self.m == 0:
-            return ()
-        return ((tuple(range(2 * self.m)), self.theta),)
-
-    def odd_gens(self) -> tuple[OddGen, ...]:
-        return tuple((a + 1, e, self.theta) for a, e in enumerate(self.eta))
 
     @cached_property
     def ledger(self) -> dict:
@@ -173,31 +158,30 @@ def _is_constant(f: ExpPolyFunction) -> bool:
                for (A_ut, b), poly in f.keys.items() for alpha in poly)
 
 
-def _kernel_space(m: int, even_blocks: Sequence[EvenBlock]):
+def _kernel_space(m: int, blocks: Sequence[tuple[DeformationContext, int, int]]):
     """The doubled space of the even-sector kernel integral: (D, (M1, M2), (X, X^{-1})).
 
-    Its coordinates are [original m coords | copies z1 | copies z2]; M1 and
-    M2 embed the two factors, and spectator coordinates (not in any block)
-    are shared by both.  The kernel coupling X and its exact inverse X^{-1}
-    are block diagonal, (-i/theta) Omega and -i theta Omega per block.
+    Its coordinates are [original m coords | copies z1 | copies z2], the
+    copies in block order; M1 and M2 embed the two factors, and spectator
+    coordinates (in no block) are shared by both.  The kernel coupling X and
+    its exact inverse X^{-1} are block diagonal, (-i/theta) Omega and
+    -i theta Omega per block.
     """
-    act = [c for coords, _ in even_blocks for c in coords]
-    k_act = len(act)
+    k_act = sum(2 * ctx.m for ctx, _, _ in blocks)
     D = m + 2 * k_act
     M1 = np.zeros((m, D))
     M2 = np.zeros((m, D))
     M1[:, :m] = np.eye(m)
     M2[:, :m] = np.eye(m)
-    for j, c in enumerate(act):
-        M1[c, m + j] = 1.0
-        M2[c, m + k_act + j] = 1.0
     X = np.zeros((k_act, k_act), dtype=complex)
     x_inv = np.zeros((k_act, k_act), dtype=complex)
     pref = 1.0  # only checked: ep_integrate_partial divides by 1/pref itself
     off = 0
-    for coords, th in even_blocks:
-        k2 = len(coords)
-        k = k2 // 2
+    for ctx, even_at, _ in blocks:
+        k, th = ctx.m, ctx.theta
+        k2 = 2 * k
+        M1[even_at:even_at + k2, m + off:m + off + k2] = np.eye(k2)
+        M2[even_at:even_at + k2, m + k_act + off:m + k_act + off + k2] = np.eye(k2)
         Om = np.zeros((k2, k2))
         Om[:k, k:] = np.eye(k)
         Om[k:, :k] = -np.eye(k)
@@ -236,17 +220,21 @@ def _clifford_pair(u: int, v: int, c: dict[int, complex]) -> tuple[int, complex]
 
 
 def star_general(f: Superfunction, g: Superfunction,
-                 even_blocks: Sequence[EvenBlock], odd_gens: Sequence[OddGen]) -> Superfunction:
-    """Deformed product with explicit active blocks; inactive data is spectator.
+                 blocks: Sequence[tuple[DeformationContext, int, int]]) -> Superfunction:
+    """Deformed product of whole contexts placed on part of the superspace.
 
-    Serves the standard product (one block covering all even coordinates and
-    all odd generators), the universal deformation formula (a translation
-    action touching only some coordinates), and leg-wise products on tensor
-    factors (several blocks with their own deformation parameters).
+    Each block ``(ctx, even_at, odd_at)`` lets ``ctx`` act on the even
+    coordinates even_at .. even_at+2m-1, in the order (q, p), and on the odd
+    bits odd_at .. odd_at+n-1, with its own theta and odd signature; every
+    other coordinate and bit is a spectator.  :func:`star` places one context
+    on the whole superspace, the universal deformation formula places it on
+    the group block of a doubled superspace, and the multiplicative unitary
+    on one leg of a tensor power.  A block that starts at a negative offset,
+    runs past the superspace or overlaps another raises ValueError.
 
     Each word pair's odd factor comes from the Clifford rule.  A pair is
-    multiplied pointwise when no even block is active or a factor is
-    constant, since every derivative of a constant vanishes.  Every other
+    multiplied pointwise when no block acts on an even coordinate or a factor
+    is constant, since every derivative of a constant vanishes.  Every other
     pair adds c * embed(f_I) * embed(g_J) to its output word's integrand on
     the doubled space of :func:`_kernel_space`, which is built at the first
     such pair; each side embeds a word's coefficient once per call.  Each
@@ -262,19 +250,21 @@ def star_general(f: Superfunction, g: Superfunction,
     if f.m != g.m or f.n != g.n:
         raise DimensionError(
             f"operands on different superspaces: ({f.m}|{f.n}) vs ({g.m}|{g.n})")
-    active: set[int] = set()
-    for coords, _ in even_blocks:
-        if len(coords) % 2:
-            raise ValueError("even block needs an even number of coordinates")
-        for c in coords:
-            if not 0 <= c < f.m or c in active:
-                raise ValueError(f"bad even block coordinate {c}")
-            active.add(c)
+    even = odd = 0  # bit masks of the coordinates and generators placed so far
     clifford: dict[int, complex] = {}
-    for a, e, th in odd_gens:
-        if not 1 <= a <= f.n or (1 << (a - 1)) in clifford or e not in (1, -1):
-            raise ValueError(f"bad odd generator spec ({a}, {e})")
-        clifford[1 << (a - 1)] = 1j * th * e / 2
+    for ctx, even_at, odd_at in blocks:
+        if (min(even_at, odd_at) < 0 or even_at + 2 * ctx.m > f.m
+                or odd_at + ctx.n > f.n):
+            raise ValueError(f"block ({2 * ctx.m}|{ctx.n}) at ({even_at}, {odd_at}) "
+                             f"does not fit in ({f.m}|{f.n})")
+        block_even = ((1 << 2 * ctx.m) - 1) << even_at
+        block_odd = ((1 << ctx.n) - 1) << odd_at
+        if even & block_even or odd & block_odd:
+            raise ValueError(f"block at ({even_at}, {odd_at}) overlaps another block")
+        even |= block_even
+        odd |= block_odd
+        for a, e in enumerate(ctx.eta):
+            clifford[1 << (odd_at + a)] = 1j * ctx.theta * e / 2
     naux = f._unify(g)
     out: dict[int, dict] = {}
     integrands: dict[int, dict] = {}
@@ -286,11 +276,11 @@ def star_general(f: Superfunction, g: Superfunction,
             word, c = _clifford_pair(wf, wg, clifford)
             if c == 0:
                 continue
-            if not active or _is_constant(ff) or _is_constant(gg):
+            if not even or _is_constant(ff) or _is_constant(gg):
                 ep_mul_into(out.setdefault(word, {}), ff, gg, c)
                 continue
             if kernel is None:
-                D, (M1, M2), kernel = _kernel_space(f.m, even_blocks)
+                D, (M1, M2), kernel = _kernel_space(f.m, blocks)
                 origin = np.zeros(f.m)
             if wf not in left:
                 left[wf] = ff.affine(M1, origin)
@@ -308,7 +298,7 @@ def star(ctx: DeformationContext, f: Superfunction, g: Superfunction) -> Superfu
     if f.m != 2 * ctx.m or f.n != ctx.n:
         raise DimensionError(
             f"function on ({f.m}|{f.n}) does not match context ({2*ctx.m}|{ctx.n})")
-    return star_general(f, g, ctx.even_blocks(), ctx.odd_gens())
+    return star_general(f, g, [(ctx, 0, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +368,10 @@ def _oracle_even_pair(ff: ExpPolyFunction, gg: ExpPolyFunction, theta: float,
 
 
 def _odd_star_pair(wf: int, wg: int, n: int, naux: int,
-                   odd_gens: Sequence[OddGen]) -> dict[int, complex]:
+                   odd_gens: Sequence[tuple[int, int, float]]) -> dict[int, complex]:
     """Odd Berezin kernel integral for one word pair: {output word: coefficient}, raw.
+
+    ``odd_gens`` lists the active generators as (1-based index, eta, theta).
 
     Big algebra layout: [ambient (n) | copies xi1 | copies xi2 | aux]; the
     Berezin measure extracts the copy bits against their increasing order,
@@ -444,13 +436,14 @@ def star_oracle(ctx: DeformationContext, f: Superfunction, g: Superfunction) -> 
     unit_norm = ctx.ledger["unit_norm"]
     Om = ctx.omega_even()
     theta_odd = float(ctx.theta) ** ctx.n
+    gens = [(a + 1, e, ctx.theta) for a, e in enumerate(ctx.eta)]
     out: dict[int, ExpPolyFunction] = {}
     for wf, ff in f.terms.items():
         for wg, gg in g.terms.items():
             even = _oracle_even_pair(ff, gg, ctx.theta, Om)
             if even.is_zero:
                 continue
-            odd = _odd_star_pair(wf, wg, f.n, naux, ctx.odd_gens())
+            odd = _odd_star_pair(wf, wg, f.n, naux, gens)
             for word, c in odd.items():
                 piece = even.scale(c * theta_odd / unit_norm)
                 out[word] = out[word] + piece if word in out else piece

@@ -9,7 +9,7 @@ vectors a, b is
 where rho^a(z) = rho_z(a) is an algebra-valued function of the group
 coordinate z and the star product acts on z alone.  Here this is realized on
 a doubled superspace: even coordinates [x | z], odd generators [xi | xi_z],
-with the star product active only on the z-block, followed by evaluation at
+with the context placed on the z-block alone, followed by evaluation at
 z = 0.
 
 ``smooth_vector`` states that action once, as one pull-back, and the tests
@@ -77,13 +77,9 @@ def _eval_group_origin(f: Superfunction, ctx: DeformationContext) -> Superfuncti
 
 def udf_product(ctx: DeformationContext, a: Superfunction, b: Superfunction) -> Superfunction:
     """Deformed product (rho^a star rho^b)(0) on the action algebra."""
-    d = 2 * ctx.m
-    n = ctx.n
     ra = smooth_vector(ctx, a)
     rb = smooth_vector(ctx, b)
-    blocks = [(tuple(range(d, 2 * d)), ctx.theta)] if ctx.m else []
-    gens = [(n + k + 1, e, ctx.theta) for k, e in enumerate(ctx.eta)]
-    st = star_general(ra, rb, blocks, gens)
+    st = star_general(ra, rb, [(ctx, 2 * ctx.m, ctx.n)])
     return _eval_group_origin(st, ctx)
 
 

@@ -145,13 +145,17 @@ def test_star_non_finite_literal_exits_2(capsys, expression, column):
 
 
 def test_star_non_finite_result_exits_2(capsys):
-    # every literal is finite, but the product overflows: no Infinity on stdout
-    code, out, err = run_cli(capsys, "star", "--theta", "1", "--m", "1", "x1*1e308*1e308")
-    assert code == 2
-    assert out == ""
-    assert err.splitlines() == [
-        "superstar: expression error: the value here is not a finite float "
-        "(line 1, column 9)"]
+    # every literal is finite, but the product overflows: no Infinity on stdout.
+    # A factor 0 empties the whole product, so a check of the root alone would
+    # pass the last two; each node is checked, and the error points at the overflow.
+    for expression, column in (("x1*1e308*1e308", 9), ("x1*1e308*1e308*0", 9),
+                               ("0*(x1*1e308*1e308)", 12)):
+        code, out, err = run_cli(capsys, "star", "--theta", "1", "--m", "1", expression)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "superstar: expression error: the value here is not a finite float "
+            f"(line 1, column {column})"]
 
 
 def test_emit_writes_non_finite_floats_as_null(capsys):

@@ -60,7 +60,7 @@ def test_context_defaults_and_validation():
     assert qctx.d == 4
     assert qctx.odd_signature == (3, 0)
     assert qctx.dilation_weights == (1.0, 1.0)
-    assert qctx.eta == (1, 1, 1)
+    assert qctx.star_context(1.0).eta == (1, 1, 1)
     with pytest.raises(ValueError):
         QGroupContext(1, 2, (1, 2))
     with pytest.raises(ValueError):
@@ -97,21 +97,21 @@ def test_element_validation():
                                 Superfunction.one(4, 1))
 
 
-def test_deferred_caches_and_validates():
+def test_element_caches_and_validates():
     calls = []
 
     def fn(t):
         calls.append(t)
         return Superfunction.one(QCTX.d, QCTX.n)
 
-    dfr = QGroupElement(1, fn)
-    dfr.at(0.5)
-    dfr.at(0.5)
+    elem = QGroupElement(1, fn)
+    elem.at(0.5)
+    elem.at(0.5)
     assert len(calls) == 1
-    dfr.at(0.7)
+    elem.at(0.7)
     assert len(calls) == 2
     with pytest.raises(DimensionError):
-        dfr.at(0.5, 0.7)
+        elem.at(0.5, 0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_z_constant_elements_multiply_pointwise_in_t():
         assert abs(complex(val) - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
-def test_qg_star_associative_through_deferred():
+def test_qg_star_associative_at_fixed_t():
     rng = np.random.default_rng(11)
     f, g, h = (_rand_element(QCTX, rng) for _ in range(3))
     left = qg_star(QCTX, qg_star(QCTX, f, g), h)
@@ -183,10 +183,8 @@ def test_coproduct_is_an_algebra_homomorphism():
     Df, Dg = coproduct(QCTX, f), coproduct(QCTX, g)
     for t1, t2 in [(0.7, -0.4), (-0.9, 0.55), (1.1, 0.3)]:
         lhs = Dfg.at(t1, t2)
-        blocks = [(tuple(range(d)), t1), (tuple(range(d, 2 * d)), t2)]
-        gens = ([(k + 1, e, t1) for k, e in enumerate(QCTX.eta)]
-                + [(n + k + 1, e, t2) for k, e in enumerate(QCTX.eta)])
-        rhs = star_general(Df.at(t1, t2), Dg.at(t1, t2), blocks, gens)
+        blocks = [(QCTX.star_context(t1), 0, 0), (QCTX.star_context(t2), d, n)]
+        rhs = star_general(Df.at(t1, t2), Dg.at(t1, t2), blocks)
         assert sf_max_dev(lhs, rhs) <= 1e-12
 
 
@@ -301,7 +299,7 @@ def test_w_apply_validates_legs():
 
 
 
-def test_deferred_products_raise_only_at_their_own_singular_point():
+def test_products_raise_only_at_their_own_singular_point():
     # W on legs (0, 1) deforms with theta = t_1 alone: t_0 = 0 is a regular
     # point, where W is continuous; t_1 = 0 and qg_star at t = 0 are singular
     rng = np.random.default_rng(19)

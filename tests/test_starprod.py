@@ -5,13 +5,15 @@ The Berezin-sector dual route here is a left-multiplication operator oracle
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from superstar import exppoly, starprod
-from superstar.errors import ClassError, DimensionError, DivergenceError, ParityError
+from superstar.errors import (ClassError, DimensionError, DivergenceError,
+                              ParameterRangeError, ParityError)
 from superstar.exppoly import ExpPolyFunction, ep_max_dev
 from superstar.grassmann import GrassmannElement, eps
 from superstar.sampling import (
@@ -196,9 +198,10 @@ def test_engine_matches_series_oracle():
 def test_oracle_catches_flipped_kernel(monkeypatch):
     # negate theta in the engine's even kernel only; the oracle states its own
     # sign, so on fresh contexts the two products must part
-    even_blocks = DeformationContext.even_blocks
-    monkeypatch.setattr(DeformationContext, "even_blocks",
-                        lambda self: tuple((c, -th) for c, th in even_blocks(self)))
+    kernel_space = starprod._kernel_space
+    monkeypatch.setattr(starprod, "_kernel_space", lambda m, blocks: kernel_space(
+        m, [(replace(ctx, theta=-ctx.theta), even_at, odd_at)
+            for ctx, even_at, odd_at in blocks]))
     rng = np.random.default_rng(11)
     worst = 0.0
     for ctx in (DeformationContext(THETA, 1, 0), DeformationContext(1.3, 2, 1, (1, 0))):
@@ -300,9 +303,12 @@ def test_clifford_rule_against_berezin_expansion_exhaustive():
                 assert berezin(u, v) == _odd_star_pair(u, v, n, naux, gens)
             monos = [Superfunction(0, n, {w: ExpPolyFunction.one(0)}, naux)
                      for w in range(width)]
+            # one (0|1) context per active generator, each with its own theta
+            blocks = [(DeformationContext(th, 0, 1, (1, 0) if e == 1 else (0, 1)), 0, a - 1)
+                      for a, e, th in gens]
             for u in range(width):
                 for v in range(width):
-                    got = star_general(monos[u], monos[v], (), gens)
+                    got = star_general(monos[u], monos[v], blocks)
                     want = {w: c * scale for w, c in berezin(u, v).items()}
                     assert set(got.terms) == set(want), (n, p, u, v)
                     for w, c in want.items():
@@ -465,27 +471,27 @@ def test_graded_bracket_parity_rules():
 
 def test_multi_block_independence():
     f_dim = 4
-    blocks = [((0, 2), 0.5), ((1, 3), 1.1)]
+    blocks = [(DeformationContext(0.5, 1, 0), 0, 0), (DeformationContext(1.1, 1, 0), 2, 0)]
     coords = [Superfunction.coordinate(f_dim, 0, mu) for mu in range(f_dim)]
 
     def comm(mu, nu):
-        a = star_general(coords[mu], coords[nu], blocks, ())
-        b = star_general(coords[nu], coords[mu], blocks, ())
+        a = star_general(coords[mu], coords[nu], blocks)
+        b = star_general(coords[nu], coords[mu], blocks)
         return const_part(a - b)
 
-    assert abs(comm(0, 2) - (-1j * 0.5)) < 1e-12
-    assert abs(comm(1, 3) - (-1j * 1.1)) < 1e-12
-    assert abs(comm(0, 1)) < 1e-12
+    assert abs(comm(0, 1) - (-1j * 0.5)) < 1e-12
+    assert abs(comm(2, 3) - (-1j * 1.1)) < 1e-12
+    assert abs(comm(0, 2)) < 1e-12
     assert abs(comm(0, 3)) < 1e-12
 
 
 def test_spectator_even_coordinates():
     # a block on the first symplectic pair leaves the others multiplying pointwise
-    blocks = [((0, 1), THETA)]
+    blocks = [(DeformationContext(THETA, 1, 0), 0, 0)]
     x3 = Superfunction.coordinate(4, 0, 3)
     f = Superfunction.from_even(ExpPolyFunction.plane_wave(
         4, [0.3, -0.7, 0.2, 0.9]), 0)
-    prod = star_general(x3, f, blocks, ())
+    prod = star_general(x3, f, blocks)
     assert sf_max_dev(prod, smul(x3, f)) <= 1e-12
 
 
@@ -500,16 +506,23 @@ def test_star_rejects_wrong_dimensions():
 
 def test_star_general_validates_blocks():
     f = Superfunction.one(4, 2)
-    with pytest.raises(ValueError):
-        star_general(f, f, [((0,), THETA)], ())
-    with pytest.raises(ValueError):
-        star_general(f, f, [((0, 7), THETA)], ())
-    with pytest.raises(ValueError):
-        star_general(f, f, [((0, 1), THETA), ((1, 2), THETA)], ())
-    with pytest.raises(ValueError):
-        star_general(f, f, (), [(1, 2, THETA)])
-    with pytest.raises(ValueError):
-        star_general(f, f, (), [(3, 1, THETA)])
+    even, odd = DeformationContext(THETA, 1, 0), DeformationContext(THETA, 0, 1)
+    for blocks in (
+            # past the even range, past the odd range
+            [(even, 3, 0)], [(DeformationContext(THETA, 2, 1), 2, 0)],
+            [(odd, 0, 2)], [(DeformationContext(THETA, 1, 2), 0, 1)],
+            # a negative offset
+            [(even, -1, 0)], [(odd, 0, -1)],
+            # overlapping even coordinates, overlapping odd bits
+            [(even, 0, 0), (even, 1, 0)],
+            [(DeformationContext(THETA, 0, 2), 0, 0), (odd, 0, 1)]):
+        with pytest.raises(ValueError):
+            star_general(f, f, blocks)
+    # a placed block whose kernel prefactor 1/(pi theta)^2 overflows
+    x = Superfunction.coordinate(4, 2, 0)
+    with pytest.raises(ParameterRangeError):
+        star_general(x, x, [(DeformationContext(THETA, 1, 1), 0, 0),
+                            (DeformationContext(1e-300, 1, 0), 2, 0)])
 
 
 def test_divergent_star_raises():
@@ -674,7 +687,7 @@ def test_gaussian_kernel_path_matches_generic_integration():
     rng = np.random.default_rng(59)
     for ctx in (DeformationContext(0.7, 1, 0), DeformationContext(-1.3, 2, 0)):
         d = 2 * ctx.m
-        D, (M1, M2), kernel = starprod._kernel_space(d, ctx.even_blocks())
+        D, (M1, M2), kernel = starprod._kernel_space(d, [(ctx, 0, 0)])
         zeros = np.zeros(d)
         A = np.zeros((D, D), dtype=complex)  # the bare kernel, for the generic path
         A[d:2 * d, 2 * d:] = kernel[0]
@@ -755,9 +768,9 @@ def _coefficients(f: ExpPolyFunction) -> dict:
 
 def _pair_by_pair(ctx, f, g):
     """f * g with one kernel integral per word pair, summed per output word."""
-    D, (M1, M2), kernel = starprod._kernel_space(f.m, ctx.even_blocks())
+    D, (M1, M2), kernel = starprod._kernel_space(f.m, [(ctx, 0, 0)])
     zeros = np.zeros(f.m)
-    clifford = {1 << (a - 1): 1j * th * e / 2 for a, e, th in ctx.odd_gens()}
+    clifford = {1 << a: 1j * ctx.theta * e / 2 for a, e in enumerate(ctx.eta)}
     out, pairs = {}, {}
     for wf, ff in f.terms.items():
         for wg, gg in g.terms.items():
