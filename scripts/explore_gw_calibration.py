@@ -21,7 +21,10 @@ no, along every axis it varies:
   dominates any discrete choice of channel weights, and any involution twist
   of the trace only reshuffles these channels.
 * alpha: the coordinate scale inside the derivation generators
-  (canonically 2/theta, the value that normalizes the kinetic term).
+  (canonically 2/theta, the value that normalizes the kinetic term).  Each
+  derivation is linear in its generator, so alpha enters the Lagrangian
+  L = K + (M^2/2) P + L Q only as the factor (alpha theta/2)^2 on the
+  kinetic channel K; the channels are computed once per (theta, s b, field).
 * odd rescale: the factor s in the component identification phi_1 = s b phi_0.
 
 A control fit against the derived coefficient map
@@ -40,6 +43,7 @@ import argparse
 import math
 import sys
 import time
+from functools import cache
 
 import numpy as np
 
@@ -50,6 +54,8 @@ from superstar.gwaction import (
     action_super_report,
     default_fields,
     gw_context,
+    plane_integrals,
+    super_lagrangian,
 )
 
 ALPHAS = [
@@ -76,25 +82,36 @@ def sweep_grid() -> list[GWParams]:
             for (mass, coupling) in ((0.5, 0.3), (1.2, 1.1))]
 
 
-def collect_channels(alpha_fn, s_fn, grid, fields):
-    """Rows of the four trace channels plus both reference actions."""
-    rows, target, derived = [], [], []
+def reference_actions(grid, fields):
+    """The target- and derived-map plane actions of every sample."""
+    plane_at = cache(lambda theta, i: plane_integrals(theta, fields[i][1]))
+    target, derived = [], []
     for params in grid:
-        ctx = gw_context(params.theta)
-        alpha = alpha_fn(params.theta)
-        s = s_fn(params.theta)
-        for _, phi in fields:
-            field = Superfield(phi, phi.scale(s * params.field_ratio),
-                               require_real=False)
-            rep = action_super_report(ctx, field, params, alpha=alpha)
+        for i in range(len(fields)):
+            plane = plane_at(params.theta, i)
+            target.append(action_gw(plane, params,
+                                    harmonic_sq=params.target_harmonic_sq,
+                                    quartic=params.target_quartic))
+            derived.append(action_gw(plane, params,
+                                     harmonic_sq=params.derived_harmonic_sq,
+                                     quartic=params.derived_quartic))
+    return np.array(target), np.array(derived)
+
+
+def collect_channels(alpha_fn, s_fn, grid, fields, lagrangian_at):
+    """Rows of the four trace channels of every sample at one reading."""
+    rows = []
+    for params in grid:
+        theta = params.theta
+        kinetic_factor = (alpha_fn(theta) * theta / 2.0) ** 2
+        for i in range(len(fields)):
+            _, kinetic, square, quartic = lagrangian_at(
+                theta, s_fn(theta) * params.field_ratio, i)
+            rep = action_super_report(
+                (theta, kinetic.scale(kinetic_factor), square, quartic), params)
             rows.append([rep["value"], rep["imag_residue"],
                          rep["berezin_channel"][0], rep["berezin_channel"][1]])
-            target.append(action_gw(params.theta, phi, params))
-            derived.append(action_gw(
-                params.theta, phi, params,
-                harmonic_sq=params.derived_harmonic_sq,
-                quartic=params.derived_quartic))
-    return np.array(rows), np.array(target), np.array(derived)
+    return np.array(rows)
 
 
 def best_fit_residual(rows: np.ndarray, rhs: np.ndarray) -> float:
@@ -121,12 +138,17 @@ def main() -> int:
           f"{'target residual':>16s} {'derived residual':>17s}")
 
     t0 = time.perf_counter()
+    # the canonical channels depend on (theta, s b, field) only
+    lagrangian_at = cache(lambda theta, sb, i: super_lagrangian(
+        gw_context(theta),
+        Superfield(fields[i][1], fields[i][1].scale(sb), require_real=False)))
+    target, derived = reference_actions(grid, fields)
     best_target = (math.inf, None, None)
     best_derived = (math.inf, None, None)
     for a_label, alpha_fn in alphas:
         for s_label, s_fn in rescales:
-            rows, target, derived = collect_channels(alpha_fn, s_fn,
-                                                     grid, fields)
+            rows = collect_channels(alpha_fn, s_fn, grid, fields,
+                                    lagrangian_at)
             rt = best_fit_residual(rows, target)
             rd = best_fit_residual(rows, derived)
             print(f"{a_label:<22s} {s_label:<16s} {rt:16.3e} {rd:17.3e}")

@@ -6,7 +6,11 @@ derivations are star-commutators with the calibrated generators
 alpha (i/2) x_mu and alpha (i/2) x_mu xi, where the calibration scale
 alpha = 2/theta is the unique rescaling giving the kinetic term unit
 normalization (the star-commutator with a coordinate is sigma i theta times
-the symplectic gradient, so the scale must cancel theta).
+the symplectic gradient, so the scale must cancel theta).  The Lagrangian is
+L = K + (M^2/2) P + lambda Q, with the kinetic sum K = (1/2) sum |D Phi|^2,
+P = Phi*Phi and Q = Phi*(Phi*P); alpha enters only as (alpha theta/2)^2 on K.
+Both actions are linear in M^2 and lambda, so :func:`super_lagrangian` and
+:func:`plane_integrals` state each functional once per field and theta.
 
 Trace choice.  The raw Lagrangian density is a superfunction whose full
 Berezin-Lebesgue integral vanishes identically when the odd component is
@@ -44,7 +48,8 @@ b != 0 point and agrees at every b = 0 point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -60,6 +65,8 @@ __all__ = [
     "even_context",
     "calibration_scale",
     "graded_derivation",
+    "super_lagrangian",
+    "plane_integrals",
     "action_super",
     "action_super_report",
     "action_gw",
@@ -96,6 +103,9 @@ class GWParams:
     field_ratio: float
 
     def __post_init__(self):
+        for name in ("theta", "mass", "coupling", "field_ratio"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.theta <= 0:
             raise ValueError("theta must be positive")
         if self.mass < 0:
@@ -166,25 +176,21 @@ def even_context(theta: float) -> DeformationContext:
 
 
 def graded_derivation(ctx: DeformationContext, kind: str, mu: int,
-                      f: Superfunction, *,
-                      alpha: float | None = None) -> Superfunction:
+                      f: Superfunction) -> Superfunction:
     """Star-commutator derivation with the calibrated generator.
 
     ``kind`` = "even": generator alpha (i/2) x_mu (a plain commutator);
-    ``kind`` = "odd":  generator alpha (i/2) x_mu xi (graded commutator).
-    ``alpha`` overrides the calibrated scale 2/theta (used by the
-    calibration-sweep exploration; leave None for the canonical action).
-    ``f`` need not be parity-homogeneous: the graded commutator is summed
-    over its words."""
+    ``kind`` = "odd":  generator alpha (i/2) x_mu xi (graded commutator),
+    with alpha = 2/theta.  ``f`` need not be parity-homogeneous: the graded
+    commutator is summed over its words."""
     if kind not in ("even", "odd"):
         raise ValueError(f"unknown derivation kind {kind!r}")
     if not 1 <= mu <= 2 * ctx.m:
         raise ValueError(f"coordinate index {mu} not in 1..{2 * ctx.m}")
     if kind == "odd" and ctx.n < 1:
         raise DimensionError("odd derivation needs an odd direction")
-    if alpha is None:
-        alpha = calibration_scale(ctx.theta)
-    coeff = ExpPolyFunction.coordinate(2 * ctx.m, mu - 1).scale(alpha * 0.5j)
+    coeff = ExpPolyFunction.coordinate(2 * ctx.m, mu - 1).scale(
+        calibration_scale(ctx.theta) * 0.5j)
     word = 0 if kind == "even" else 1
     gen = Superfunction(2 * ctx.m, ctx.n, {word: coeff})
     out = Superfunction.zero(f.m, f.n)
@@ -202,33 +208,32 @@ def _check_integrable(fn: ExpPolyFunction):
         raise DivergenceError("field is not integrable on the plane")
 
 
-def _super_lagrangian(ctx: DeformationContext, field: Superfield,
-                      params: GWParams, *,
-                      alpha: float | None = None) -> Superfunction:
-    sf = field.as_superfunction()
-    total = Superfunction.zero(2, 1)
-    for kind in ("even", "odd"):
-        for mu in (1, 2):
-            D = graded_derivation(ctx, kind, mu, sf, alpha=alpha)
-            total = total + star(ctx, D.conj(), D).scale(0.5)
-    total = total + star(ctx, sf, sf).scale(params.mass ** 2 / 2.0)
-    quartic = star(ctx, sf, star(ctx, sf, star(ctx, sf, sf)))
-    return total + quartic.scale(params.coupling)
-
-
-def action_super_report(ctx: DeformationContext, field: Superfield,
-                        params: GWParams, *,
-                        alpha: float | None = None) -> dict:
-    """The superfield action value together with both raw trace channels."""
-    if abs(ctx.theta - params.theta) > 0:
-        raise ValueError("context and parameters disagree on theta")
+def super_lagrangian(ctx: DeformationContext, field: Superfield) -> tuple:
+    """The superfield Lagrangian L = K + (M^2/2) P + lambda Q of ``field`` as
+    (theta, K, P, Q): the kinetic sum K, P = Phi*Phi and Q = Phi*(Phi*P)."""
     if ctx.m != 1 or ctx.n != 1:
         raise DimensionError("superfield action lives on R^{2|1}")
     _check_integrable(field.even)
     _check_integrable(field.odd)
-    lagrangian = _super_lagrangian(ctx, field, params, alpha=alpha)
-    body = complex(lagrangian.body().integrate())
-    berezin = complex(sintegrate(lagrangian))
+    sf = field.as_superfunction()
+    kinetic = Superfunction.zero(2, 1)
+    for kind in ("even", "odd"):
+        for mu in (1, 2):
+            D = graded_derivation(ctx, kind, mu, sf)
+            kinetic = kinetic + star(ctx, D.conj(), D).scale(0.5)
+    square = star(ctx, sf, sf)
+    return ctx.theta, kinetic, square, star(ctx, sf, star(ctx, sf, square))
+
+
+def action_super_report(lagrangian: tuple, params: GWParams) -> dict:
+    """The action value and both raw trace channels of a super_lagrangian."""
+    theta, kinetic, square, quartic = lagrangian
+    if theta != params.theta:
+        raise ValueError("Lagrangian and parameters disagree on theta")
+    total = (kinetic + square.scale(params.mass ** 2 / 2.0)
+             + quartic.scale(params.coupling))
+    body = complex(total.body().integrate())
+    berezin = complex(sintegrate(total))
     return {
         "value": float(body.real),
         "imag_residue": float(body.imag),
@@ -236,44 +241,41 @@ def action_super_report(ctx: DeformationContext, field: Superfield,
     }
 
 
-def action_super(ctx: DeformationContext, field: Superfield,
-                 params: GWParams) -> float:
+def action_super(lagrangian: tuple, params: GWParams) -> float:
     """Trace of (1/2) sum |d(Phi)|^2 + (mass^2/2) Phi*Phi + coupling Phi*^4."""
-    return action_super_report(ctx, field, params)["value"]
+    return action_super_report(lagrangian, params)["value"]
 
 
-def _plane_integrals(phi: ExpPolyFunction, theta: float | None = None):
-    """The raw plane integrals of phi: sum_mu int (d_mu phi)^2, int x^2 phi^2,
-    int phi^2 and, given theta, int phi*^4 under that deformation (else
-    None).  Each caller applies its own factors."""
+def _quadratic_integrals(phi: ExpPolyFunction):
+    """sum_mu int (d_mu phi)^2, int x^2 phi^2 and int phi^2."""
+    _check_integrable(phi)
     grad_sq = sum((phi.derive(mu) * phi.derive(mu)).integrate() for mu in range(2))
     x_sq = ExpPolyFunction.monomial(2, (2, 0)) + ExpPolyFunction.monomial(2, (0, 2))
-    quart = None
-    if theta is not None:
-        ctx0 = even_context(theta)
-        f = Superfunction.from_even(phi, 0)
-        quart = star(ctx0, f, star(ctx0, f, star(ctx0, f, f))).body().integrate()
-    return grad_sq, (x_sq * phi * phi).integrate(), (phi * phi).integrate(), quart
+    return grad_sq, (x_sq * phi * phi).integrate(), (phi * phi).integrate()
 
 
-def action_gw(theta: float, phi: ExpPolyFunction, params: GWParams, *,
-              harmonic_sq: float | None = None,
-              quartic: float | None = None) -> float:
+def plane_integrals(theta: float, phi: ExpPolyFunction) -> tuple:
+    """(theta, sum_mu int (d_mu phi)^2, int x^2 phi^2, int phi^2, int phi*^4)
+    under the deformation ``theta``; each caller applies its own factors."""
+    quadratic = _quadratic_integrals(phi)
+    ctx0 = even_context(theta)
+    f = Superfunction.from_even(phi, 0)
+    quart = star(ctx0, f, star(ctx0, f, star(ctx0, f, f))).body().integrate()
+    return (ctx0.theta, *quadratic, quart)
+
+
+def action_gw(plane: tuple, params: GWParams, *,
+              harmonic_sq: float, quartic: float) -> float:
     """The harmonic quartic action on the deformed plane:
 
         integral of (1/2)(grad phi)^2 + (2 harmonic_sq/theta^2) x^2 phi^2
                     + (mass^2/2) phi^2 + quartic * phi*^4.
 
-    Defaults take the target coefficient map from ``params``; pass
-    ``harmonic_sq``/``quartic`` to evaluate any other map."""
-    if abs(theta - params.theta) > 0:
-        raise ValueError("theta and parameters disagree")
-    _check_integrable(phi)
-    if harmonic_sq is None:
-        harmonic_sq = params.target_harmonic_sq
-    if quartic is None:
-        quartic = params.target_quartic
-    grad_sq, x_sq, phi_sq, quart = _plane_integrals(phi, theta)
+    ``plane`` comes from :func:`plane_integrals`; ``harmonic_sq`` and
+    ``quartic`` give the coefficient map, target or derived."""
+    theta, grad_sq, x_sq, phi_sq, quart = plane
+    if theta != params.theta:
+        raise ValueError("plane integrals and parameters disagree on theta")
     kinetic = 0.5 * grad_sq
     harmonic = (2.0 * harmonic_sq / theta ** 2) * x_sq
     mass = (params.mass ** 2 / 2.0) * phi_sq
@@ -297,21 +299,19 @@ def calibration_identities(theta: float, phi: ExpPolyFunction) -> dict:
     with a = alpha i/2 under the calibrated alpha and w = 0.37, a generic
     weight; returns both deviations."""
     harmonic_sq = 0.37
-    _check_integrable(phi)
+    grad_sq, x_sq, _ = _quadratic_integrals(phi)
     ctx0 = even_context(theta)
-    alpha = calibration_scale(theta)
     f = Superfunction.from_even(phi, 0)
     kin_comm = 0j
     harm_anti = 0j
     for mu in (1, 2):
-        gen = Superfunction.from_even(
-            ExpPolyFunction.coordinate(2, mu - 1).scale(alpha * 0.5j), 0)
+        gen = Superfunction.from_even(ExpPolyFunction.coordinate(2, mu - 1).scale(
+            calibration_scale(theta) * 0.5j), 0)
         gf, fg = star(ctx0, gen, f), star(ctx0, f, gen)
         comm, anti = gf - fg, gf + fg
         kin_comm += 0.5 * star(ctx0, comm.conj(), comm).body().integrate()
         harm_anti += (harmonic_sq / 2.0) * star(
             ctx0, anti.conj(), anti).body().integrate()
-    grad_sq, x_sq, _, _ = _plane_integrals(phi)
     kinetic = 0.5 * grad_sq
     harmonic = (2.0 * harmonic_sq / theta ** 2) * x_sq
     k_dev = abs(kin_comm - kinetic) / max(1.0, abs(kinetic))
@@ -337,10 +337,10 @@ def coefficient_fit(params: GWParams) -> dict:
     ctx = gw_context(params.theta)
     rows, values = [], []
     for phi in fields:
-        grad_sq, x_sq, phi_sq, quart = _plane_integrals(phi, params.theta)
+        _, grad_sq, x_sq, phi_sq, quart = plane_integrals(params.theta, phi)
         rows.append([0.5 * grad_sq.real, x_sq.real, 0.5 * phi_sq.real, quart.real])
         field = Superfield.identified(phi, params.field_ratio)
-        values.append(action_super(ctx, field, params))
+        values.append(action_super(super_lagrangian(ctx, field), params))
     A = np.array(rows)
     s = np.array(values)
     coeffs, _, rank, _ = np.linalg.lstsq(A, s, rcond=None)
@@ -387,30 +387,33 @@ def verify_gw(grid: list[GWParams] | None = None,
     The report's top-level "passed" follows the target map (the asserted
     identity); "derived_passed" follows the map the engine derives.  Both
     are false on an empty grid or field list, which compares nothing.
-    "target_refuted" holds when the grid has at least one b != 0 point, the
-    target map misses by more than ``REFUTATION_MARGIN`` at every b != 0
-    point and agrees within ``tol`` at every b = 0 point, where the two maps
-    coincide.  The calibration scale formula and the trace choice are fixed
-    once and reported, never re-fit per point."""
+    "target_refuted" holds when the grid has at least one b != 0 point and
+    one b = 0 point, the target map misses by more than ``REFUTATION_MARGIN``
+    at every b != 0 point and agrees within ``tol`` at every b = 0 point,
+    where the two maps coincide.  The calibration scale formula and the
+    trace choice are fixed once and reported, never re-fit per point."""
     grid = default_grid() if grid is None else grid
     fields = default_fields() if fields is None else fields
+    # the actions are linear in mass^2 and coupling: one Lagrangian per
+    # (theta, b, field) and one plane set per (theta, field) serve every point
+    lagrangian_at = cache(lambda theta, b, i: super_lagrangian(
+        gw_context(theta), Superfield.identified(fields[i][1], b)))
+    plane_at = cache(lambda theta, i: plane_integrals(theta, fields[i][1]))
     points = []
     for params in grid:
-        ctx = gw_context(params.theta)
-        for label, phi in fields:
-            field = Superfield.identified(phi, params.field_ratio)
-            rep = action_super_report(ctx, field, params)
-            s_lit = action_gw(params.theta, phi, params)
-            s_der = action_gw(params.theta, phi, params,
+        for i, (label, _) in enumerate(fields):
+            rep = action_super_report(
+                lagrangian_at(params.theta, params.field_ratio, i), params)
+            plane = plane_at(params.theta, i)
+            s_lit = action_gw(plane, params, harmonic_sq=params.target_harmonic_sq,
+                              quartic=params.target_quartic)
+            s_der = action_gw(plane, params,
                               harmonic_sq=params.derived_harmonic_sq,
                               quartic=params.derived_quartic)
             lit_dev = abs(rep["value"] - s_lit) / max(1.0, abs(s_lit))
             der_dev = abs(rep["value"] - s_der) / max(1.0, abs(s_der))
             points.append({
-                "theta": params.theta,
-                "mass": params.mass,
-                "coupling": params.coupling,
-                "field_ratio": params.field_ratio,
+                **asdict(params),
                 "field": label,
                 "action_super": rep["value"],
                 "imag_residue": rep["imag_residue"],
@@ -426,8 +429,8 @@ def verify_gw(grid: list[GWParams] | None = None,
             })
     lit_worst = worst_dev(0.0, *(pt["target"]["rel_dev"] for pt in points))
     der_worst = worst_dev(0.0, *(pt["derived"]["rel_dev"] for pt in points))
-    miss_b_zero = worst_dev(0.0, *(pt["target"]["rel_dev"] for pt in points
-                                   if pt["field_ratio"] == 0.0))
+    b_zero = [pt["target"]["rel_dev"] for pt in points if pt["field_ratio"] == 0.0]
+    miss_b_zero = worst_dev(0.0, *b_zero)
     miss_b_nonzero = [pt["target"]["rel_dev"] for pt in points
                       if pt["field_ratio"] != 0.0]
     cal = calibration_identities(1.3, default_fields()[0][1])
@@ -443,10 +446,7 @@ def verify_gw(grid: list[GWParams] | None = None,
             **cal,
         },
         "coefficient_fit": {
-            "theta": fit_params.theta,
-            "mass": fit_params.mass,
-            "coupling": fit_params.coupling,
-            "field_ratio": fit_params.field_ratio,
+            **asdict(fit_params),
             **fit,
             "target_harmonic_sq": fit_params.target_harmonic_sq,
             "target_quartic": fit_params.target_quartic,
@@ -460,7 +460,7 @@ def verify_gw(grid: list[GWParams] | None = None,
         "derived_passed": bool(points and der_worst <= tol),
         "target_max_rel_dev_b_zero": float(miss_b_zero),
         "refutation_margin": REFUTATION_MARGIN,
-        "target_refuted": bool(miss_b_nonzero
+        "target_refuted": bool(miss_b_nonzero and b_zero
                                and all(d > REFUTATION_MARGIN for d in miss_b_nonzero)
                                and miss_b_zero <= tol),
         "analysis": (

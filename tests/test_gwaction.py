@@ -1,6 +1,7 @@
 """Superfield action on the deformed plane with one odd direction: graded
 derivations, both action functionals, and the coefficient-map comparison."""
 
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +26,8 @@ from superstar.gwaction import (
     even_context,
     graded_derivation,
     gw_context,
+    plane_integrals,
+    super_lagrangian,
     verify_gw,
 )
 from superstar.starprod import star
@@ -62,6 +65,14 @@ def test_params_validation():
         GWParams(theta=0.0, mass=1.0, coupling=1.0, field_ratio=1.0)
     with pytest.raises(ValueError):
         GWParams(theta=1.0, mass=-0.5, coupling=1.0, field_ratio=1.0)
+
+
+@pytest.mark.parametrize("name", ["theta", "mass", "coupling", "field_ratio"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite(name, value):
+    finite = dict(theta=1.0, mass=1.0, coupling=1.0, field_ratio=1.0)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GWParams(**{**finite, name: value})
 
 
 def test_coefficient_map_numerology():
@@ -208,14 +219,15 @@ def test_derivation_validation():
 def test_action_super_zero_field():
     params = GWParams(theta=1.0, mass=1.0, coupling=1.0, field_ratio=1.0)
     zero = Superfield(ExpPolyFunction.zero(2), ExpPolyFunction.zero(2))
-    assert action_super(gw_context(1.0), zero, params) == 0.0
+    assert action_super(super_lagrangian(gw_context(1.0), zero), params) == 0.0
 
 
 def test_action_super_ratio_zero_is_free_plus_quartic():
     theta, mass, coupling = 0.8, 1.1, 0.6
     params = GWParams(theta=theta, mass=mass, coupling=coupling, field_ratio=0.0)
     phi = _gauss(0.55, 0.9)
-    value = action_super(gw_context(theta), Superfield.identified(phi, 0.0), params)
+    value = action_super(
+        super_lagrangian(gw_context(theta), Superfield.identified(phi, 0.0)), params)
     kinetic = 0.5 * sum((phi.derive(mu) * phi.derive(mu)).integrate().real
                         for mu in range(2))
     mass_term = mass ** 2 / 2 * (phi * phi).integrate().real
@@ -228,7 +240,9 @@ def test_action_super_ratio_zero_is_free_plus_quartic():
 
 def test_action_gw_zero_field():
     params = GWParams(theta=1.0, mass=1.0, coupling=1.0, field_ratio=1.0)
-    assert action_gw(1.0, ExpPolyFunction.zero(2), params) == 0.0
+    value = action_gw(plane_integrals(1.0, ExpPolyFunction.zero(2)), params,
+                      harmonic_sq=params.target_harmonic_sq, quartic=params.target_quartic)
+    assert value == 0.0
 
 
 def test_action_gw_free_closed_form():
@@ -238,33 +252,36 @@ def test_action_gw_free_closed_form():
     a, c = 0.7, 0.9
     params = GWParams(theta=theta, mass=mass, coupling=0.0, field_ratio=0.0)
     phi = ExpPolyFunction.gaussian(2, -a * np.eye(2), c=c)
-    value = action_gw(theta, phi, params, harmonic_sq=0.0, quartic=0.0)
+    value = action_gw(plane_integrals(theta, phi), params,
+                      harmonic_sq=0.0, quartic=0.0)
     expected = c * c * (np.pi / 2 + mass ** 2 * np.pi / (4 * a))
     assert value == pytest.approx(expected, rel=1e-12)
 
 
 def test_action_gw_positive_for_gaussian():
     params = GWParams(theta=0.9, mass=0.8, coupling=0.5, field_ratio=1.0)
-    value = action_gw(0.9, _gauss(), params)
+    value = action_gw(plane_integrals(0.9, _gauss()), params,
+                      harmonic_sq=params.target_harmonic_sq, quartic=params.target_quartic)
     assert np.isfinite(value) and value > 0
 
 
 def test_divergent_field_rejected():
-    params = GWParams(theta=1.0, mass=1.0, coupling=1.0, field_ratio=1.0)
     wave = ExpPolyFunction.plane_wave(2, [0.5, -0.3])
     with pytest.raises(DivergenceError):
-        action_gw(1.0, wave, params)
+        plane_integrals(1.0, wave)
     with pytest.raises(DivergenceError):
-        action_super(gw_context(1.0), Superfield(wave, wave, require_real=False),
-                     params)
+        super_lagrangian(gw_context(1.0), Superfield(wave, wave, require_real=False))
 
 
 def test_theta_mismatch_rejected():
+    # the functionals record the theta they were computed at
     params = GWParams(theta=1.0, mass=1.0, coupling=1.0, field_ratio=1.0)
     with pytest.raises(ValueError):
-        action_gw(2.0, _gauss(), params)
+        action_gw(plane_integrals(2.0, _gauss()), params,
+                  harmonic_sq=params.target_harmonic_sq, quartic=params.target_quartic)
+    lagrangian = super_lagrangian(gw_context(2.0), Superfield.identified(_gauss(), 1.0))
     with pytest.raises(ValueError):
-        action_super(gw_context(2.0), Superfield.identified(_gauss(), 1.0), params)
+        action_super(lagrangian, params)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +295,10 @@ def test_super_action_matches_derived_map():
         params = GWParams(theta=theta, mass=mass, coupling=coupling,
                           field_ratio=ratio)
         phi = _gauss(0.6, 0.9, [0.1, -0.3])
-        s_super = action_super(gw_context(theta),
-                               Superfield.identified(phi, ratio), params)
-        s_plane = action_gw(theta, phi, params,
+        s_super = action_super(
+            super_lagrangian(gw_context(theta), Superfield.identified(phi, ratio)),
+            params)
+        s_plane = action_gw(plane_integrals(theta, phi), params,
                             harmonic_sq=params.derived_harmonic_sq,
                             quartic=params.derived_quartic)
         assert s_super == pytest.approx(s_plane, rel=1e-10, abs=1e-12)
@@ -294,15 +312,17 @@ def test_target_map_obstruction():
     params = GWParams(theta=theta, mass=mass, coupling=coupling,
                       field_ratio=ratio)
     phi = _gauss(0.6, 0.9)
-    rep = action_super_report(gw_context(theta),
-                              Superfield.identified(phi, ratio), params)
-    s_target = action_gw(theta, phi, params)
+    rep = action_super_report(
+        super_lagrangian(gw_context(theta), Superfield.identified(phi, ratio)), params)
+    s_target = action_gw(plane_integrals(theta, phi), params,
+                         harmonic_sq=params.target_harmonic_sq,
+                         quartic=params.target_quartic)
     assert abs(rep["value"] - s_target) / abs(s_target) > 1e-3
     assert abs(rep["imag_residue"]) > 1e-3
 
     free = GWParams(theta=theta, mass=mass, coupling=coupling, field_ratio=0.0)
-    rep0 = action_super_report(gw_context(theta),
-                               Superfield.identified(phi, 0.0), free)
+    rep0 = action_super_report(
+        super_lagrangian(gw_context(theta), Superfield.identified(phi, 0.0)), free)
     assert rep0["berezin_channel"] == [0.0, 0.0]
     assert rep0["value"] > 0.1  # the body channel keeps the free action
 
@@ -346,7 +366,8 @@ def test_verify_gw_report():
 
 
 def test_target_refuted_needs_a_nonzero_ratio():
-    # at b = 0 the two maps coincide, so b = 0 points alone refute nothing
+    # at b = 0 the two maps coincide, so b = 0 points alone refute nothing;
+    # b != 0 points alone leave the b = 0 agreement unchecked
     fields = default_fields()[:1]
     b_zero = [p for p in default_grid() if p.field_ratio == 0.0][:2]
     report = verify_gw(grid=b_zero, fields=fields)
@@ -357,6 +378,37 @@ def test_target_refuted_needs_a_nonzero_ratio():
     report = verify_gw(grid=mixed, fields=fields)
     assert not report["passed"]
     assert report["target_refuted"] is True
+    report = verify_gw(grid=mixed[1:], fields=fields)
+    assert not report["passed"]
+    assert report["target_refuted"] is False
+
+
+def test_verify_gw_builds_each_functional_once(monkeypatch):
+    # both actions are linear in mass^2 and coupling: the default 12 x 3 grid
+    # needs one Lagrangian per (theta, b, field), 2 x 3 x 3 = 18, and one
+    # plane set per (theta, field), 2 x 3 = 6; the coefficient fit, at a
+    # theta off the grid, builds one of each for its own six fields
+    from superstar import gwaction
+
+    thetas = {"lagrangian": [], "plane": []}
+    real_lagrangian, real_plane = gwaction.super_lagrangian, gwaction.plane_integrals
+
+    def lagrangian(ctx, field):
+        thetas["lagrangian"].append(ctx.theta)
+        return real_lagrangian(ctx, field)
+
+    def plane(theta, phi):
+        thetas["plane"].append(theta)
+        return real_plane(theta, phi)
+
+    monkeypatch.setattr(gwaction, "super_lagrangian", lagrangian)
+    monkeypatch.setattr(gwaction, "plane_integrals", plane)
+    verify_gw()
+    on_grid = {p.theta for p in default_grid()}
+    assert sum(t in on_grid for t in thetas["lagrangian"]) == 18
+    assert sum(t in on_grid for t in thetas["plane"]) == 6
+    assert len(thetas["lagrangian"]) == 18 + 6
+    assert len(thetas["plane"]) == 6 + 6
 
 
 def test_empty_grid_passes_nothing():
