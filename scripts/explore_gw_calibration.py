@@ -23,8 +23,9 @@ no, along every axis it varies:
 * alpha: the coordinate scale inside the derivation generators
   (canonically 2/theta, the value that normalizes the kinetic term).  Each
   derivation is linear in its generator, so alpha enters the Lagrangian
-  L = K + (M^2/2) P + L Q only as the factor (alpha theta/2)^2 on the
-  kinetic channel K; the channels are computed once per (theta, s b, field).
+  K + (M^2/2) P + L Q, with P = Phi * Phi and Q = Phi * (Phi * P), only as
+  the factor (alpha theta/2)^2 on the kinetic channel K; the channels are
+  computed once per (theta, s b, field).
 * odd rescale: the factor s in the component identification phi_1 = s b phi_0.
 
 A control fit against the derived coefficient map
