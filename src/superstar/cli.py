@@ -16,18 +16,22 @@ Subcommands
     Normal-order a word in the supertorus generators and print the ordered
     word plus the exact crossing phase (symbolic in pi and theta).
 ``gw verify``
-    Run the harmonic-superfield action report (both coefficient maps).
+    Measure the harmonic-superfield action, with one record per coefficient
+    map.
 ``qgroup pentagon``
-    Check the pentagon identity of the multiplicative unitary.
+    The ``qgroup`` suite report for the context and sample count of the flags.
 
 All machine output is JSON on standard output (``--json-out FILE`` writes the
-same bytes to a file as well).  Reports embed the normalization ledger of the
-contexts they used.  Output is deterministic: the same flags and seed produce
-byte-identical JSON.  Exit codes: 0 all checks passed, 1 a check failed,
-2 usage error (bad flags, malformed expression or word).
+same bytes to a file as well), and every verdict comes from
+:mod:`superstar.verify`.  ``star`` and the ``eps``, ``star``, ``hilbert``,
+``heisenberg`` and ``udf`` suites embed the normalization ledger of the
+contexts they used; the other reports carry none.  Output is deterministic:
+the same flags and seed produce byte-identical JSON.  Exit codes: 0 all
+checks passed, 1 a check failed, 2 usage error (bad flags, malformed
+expression or word, a ``--json-out`` path that cannot be written).
 
 The default seed is 0, overridable by the ``SUPERSTAR_SEED`` environment
-variable and the ``--seed`` flag (the flag wins).
+variable and the ``--seed`` flag (the flag wins), each an integer >= 0.
 """
 
 from __future__ import annotations
@@ -44,11 +48,10 @@ import numpy as np
 
 from .errors import DimensionError
 from .expr import ExpressionError, _fmt_real, evaluate, parse, print_expression
-from .gwaction import verify_gw
-from .qgroup import QGroupContext, pentagon_check
+from .qgroup import QGroupContext
 from .starprod import DeformationContext
 from .supertorus import parse_torus_tokens, torus_normal_form
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, run_suite, verify_gw_maps, verify_qgroup
 
 __all__ = ["main", "build_parser"]
 
@@ -78,11 +81,11 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _env_seed() -> int:
-    try:
-        return int(os.environ.get("SUPERSTAR_SEED", "0"))
-    except ValueError:
-        return 0
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r} (from --seed or $SUPERSTAR_SEED)")
+    return int(text)
 
 
 def _parse_signature(text: str | None, n: int) -> tuple[int, int] | None:
@@ -120,10 +123,13 @@ def _emit(report: dict, json_out: str | None) -> None:
         # a failed check may carry a NaN deviation: write every non-finite
         # number as null; the walk would add ~2% to a large star output
         text = json.dumps(_finite_or_null(report), sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
     if json_out:
-        with open(json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:  # first: a path that cannot be written leaves stdout empty
+            with open(json_out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --json-out {json_out!r}: {exc.strerror}")
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +231,7 @@ def _cmd_supertorus(args: argparse.Namespace) -> int:
 
 
 def _cmd_gw(args: argparse.Namespace) -> int:
-    report = verify_gw(tol=1e-8 if args.tol is None else args.tol)
-    report = {"command": "gw verify", **report}
+    report = {"command": "gw verify", **verify_gw_maps(tol=args.tol)}
     _emit(report, args.json_out)
     return 0 if report["passed"] else 1
 
@@ -234,9 +239,10 @@ def _cmd_gw(args: argparse.Namespace) -> int:
 def _cmd_qgroup(args: argparse.Namespace) -> int:
     qctx = QGroupContext(args.m, args.n,
                          _parse_signature(args.signature, args.n))
-    report = pentagon_check(qctx, t_samples=args.t_samples, seed=args.seed,
-                            tol=1e-8 if args.tol is None else args.tol)
-    report = {"command": "qgroup pentagon", **report}
+    report = verify_qgroup(tol=args.tol, seed=args.seed, qctx=qctx,
+                           t_samples=args.t_samples)
+    report = {"command": "qgroup pentagon", "t_samples": args.t_samples,
+              "seed": args.seed, **report}
     _emit(report, args.json_out)
     return 0 if report["passed"] else 1
 
@@ -257,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json-out", metavar="FILE", default=None,
                        help="also write the JSON report to FILE")
         if seed:
-            p.add_argument("--seed", type=int, default=_env_seed(),
+            # argparse passes a string default through the type too
+            p.add_argument("--seed", type=_seed,
+                           default=os.environ.get("SUPERSTAR_SEED", "0"),
                            help="random seed (default: $SUPERSTAR_SEED or 0)")
 
     p_star = sub.add_parser("star", help="evaluate an expression")

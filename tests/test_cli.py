@@ -358,9 +358,12 @@ def test_gw_verify_reports_honest_failure(capsys):
     code, rep = run_json(capsys, "gw", "verify")
     assert code == 1
     assert rep["passed"] is False
-    assert rep["derived_passed"] is True
-    assert rep["target_max_rel_dev"] > 1e-3
-    assert rep["derived_max_rel_dev"] <= 1e-8
+    target, derived = rep["checks"]
+    assert (target["check"], target["passed"]) == ("target-coefficient-map", False)
+    assert target["max_deviation"] > 1e-3
+    assert (derived["check"], derived["passed"]) == ("derived-coefficient-map", True)
+    assert derived["max_deviation"] <= 1e-8
+    assert target["cases"] == derived["cases"] == len(rep["points"]) == 36
     assert "analysis" in rep
 
 
@@ -387,16 +390,18 @@ def test_nan_in_one_gw_point_fails_with_the_whole_report(capsys, monkeypatch):
     code, rep = run_json(capsys, "gw", "verify")
     assert code == 1
     assert rep["points"][1]["target"]["rel_dev"] is None
-    assert rep["target_max_rel_dev"] is None
+    assert rep["checks"][0]["max_deviation"] is None
 
 
 def test_qgroup_pentagon(capsys):
     code, rep = run_json(capsys, "qgroup", "pentagon", "--t-samples", "3",
                          "--seed", "2")
     assert code == 0
+    assert (rep["command"], rep["t_samples"], rep["seed"]) == ("qgroup pentagon", 3, 2)
     assert rep["passed"] is True
-    assert rep["max_deviation"] <= 1e-8
-    assert rep["superunitarity"]["modular_weight"] == 0.0
+    pentagon, unitary = rep["checks"]
+    assert pentagon["cases"] == 3 and pentagon["max_deviation"] <= 1e-8
+    assert unitary["cases"] == 3 and unitary["passed"] is True
 
 
 def test_qgroup_pentagon_at_m_zero(capsys):
@@ -404,7 +409,8 @@ def test_qgroup_pentagon_at_m_zero(capsys):
     code, rep = run_json(capsys, "qgroup", "pentagon", "--m", "0", "--n", "2")
     assert code == 0
     assert rep["passed"] is True
-    assert len(rep["pentagon"]) == 5
+    assert rep["context"]["m"] == 0
+    assert rep["checks"][0]["cases"] == len(rep["checks"][0]["samples"]) == 5
 
 
 def test_qgroup_pentagon_zero_samples_exits_2(capsys):
@@ -414,6 +420,27 @@ def test_qgroup_pentagon_zero_samples_exits_2(capsys):
     assert out == ""
     assert "t_samples" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", [None, "1e-16"])
+def test_qgroup_pentagon_judges_as_the_suite(capsys, tol):
+    # the suite's own context and sample count, through the CLI; at 1e-16
+    # both fail
+    flags = [] if tol is None else ["--tol", tol]
+    code, rep = run_json(capsys, "qgroup", "pentagon", "--m", "1", "--n", "2",
+                         "--signature", "1,1", "--t-samples", "5", "--seed", "3",
+                         *flags)
+    suite = run_suite("qgroup", seed=3, tol=None if tol is None else float(tol))
+    assert rep["checks"] == json.loads(json.dumps(suite["checks"]))
+    assert (code, rep["passed"]) == ((0, True) if tol is None else (1, False))
+    assert rep["passed"] is suite["passed"]
+
+
+def test_gw_verify_judges_the_derived_map_as_the_suite(capsys):
+    _, rep = run_json(capsys, "gw", "verify")
+    (derived,) = [c for c in run_suite("gw")["checks"]
+                  if c["check"] == "derived-coefficient-map"]
+    assert rep["checks"][1] == json.loads(json.dumps(derived))
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +456,39 @@ def test_json_out_writes_same_bytes(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_json_out_that_cannot_be_written_exits_2(tmp_path, capsys, where):
+    path = str(tmp_path / "no" / "r.json" if where == "missing-directory" else tmp_path)
+    code, out, err = run_cli(capsys, "verify", "eps", "--n", "2", "--json-out", path)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and repr(path) in err
+    assert "Traceback" not in err
+
+
 def test_seed_default_comes_from_environment(monkeypatch):
     monkeypatch.setenv("SUPERSTAR_SEED", "41")
     args = build_parser().parse_args(["verify", "eps"])
     assert args.seed == 41
+    # the flag wins
+    assert build_parser().parse_args(["verify", "eps", "--seed", "5"]).seed == 5
+    # a seed that is no integer >= 0 is a usage error, not seed 0
     monkeypatch.setenv("SUPERSTAR_SEED", "junk")
-    args = build_parser().parse_args(["verify", "eps"])
-    assert args.seed == 0
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["verify", "eps"])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("env, flags", [
+    ("junk", []), ("-3", []), (None, ["--seed", "-1"]), (None, ["--seed", "x"])])
+def test_seed_that_is_no_integer_at_least_zero_exits_2(monkeypatch, env, flags):
+    if env is None:
+        monkeypatch.delenv("SUPERSTAR_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SUPERSTAR_SEED", env)
+    code, out, err = _run_main(["verify", "eps", "--n", "2", *flags])
+    assert (code, out) == (2, "")
+    bad = env if env is not None else flags[1]
+    assert f"got {bad!r}" in err and "Traceback" not in err
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -539,4 +539,4 @@ def test_no_program_path_reads_the_terms_view(monkeypatch, capsys):
         assert sf_max_dev(star_oracle(ctx, f, g), star(ctx, f, g)) < 1e-12
     assert cli.main(["star", "exp(-x1^2-x2^2)*xi1 + x1 star x2", "--m", "1", "--n", "1"]) == 0
     assert "terms" in capsys.readouterr().out
-    assert torus_vs_udf(ctx)["matched"]
+    assert all(r["deviation"] <= 1e-9 for r in torus_vs_udf(ctx)["relations"])

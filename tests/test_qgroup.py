@@ -23,6 +23,7 @@ from superstar.qgroup import (
 )
 from superstar.starprod import star
 from superstar.superfun import Superfunction, sf_max_dev, substitute
+from superstar.verify import verify_qgroup
 
 QCTX = QGroupContext(1, 2, (1, 1))
 
@@ -325,33 +326,33 @@ def test_w_apply_rejects_gaussian_cross_coupling():
 
 
 def test_pentagon_identity():
+    # deviations only: the qgroup suite of superstar.verify judges them
     report = pentagon_check(QCTX, t_samples=3, seed=2)
-    assert report["passed"]
+    assert set(report) == {"constant_legs_deviation", "pentagon", "superunitarity"}
     assert report["constant_legs_deviation"] == 0.0
-    assert report["max_deviation"] <= 1e-10
     assert len(report["pentagon"]) == 3
     for entry in report["pentagon"]:
         assert entry["deviation"] <= 1e-10
         assert len(entry["t"]) == 3
+    assert all(s["deviation"] <= 1e-8 for s in report["superunitarity"])
 
 
 def test_pentagon_with_nondefault_weights():
     qctx = QGroupContext(1, 2, (1, 1), dilation_weights=(0.5,))
-    report = pentagon_check(qctx, t_samples=2, seed=4)
+    report = verify_qgroup(qctx=qctx, t_samples=2, seed=4)
     assert report["passed"]
-    assert report["max_deviation"] <= 1e-10
+    assert report["checks"][0]["max_deviation"] <= 1e-10
 
 
 def test_superunitarity():
     report = pentagon_check(QCTX, t_samples=1, seed=6)
-    uni = report["superunitarity"]
-    assert uni["passed"]
-    assert uni["deviation"] <= 1e-10
-    assert uni["modular_weight"] == 0.0
+    slices = report["superunitarity"]
+    assert len(slices) == 3
+    assert all(s["deviation"] <= 1e-10 for s in slices)
 
 
 def test_pentagon_purely_even_context():
     qctx = QGroupContext(1, 0, (0, 0))
-    report = pentagon_check(qctx, t_samples=2, seed=9)
+    report = verify_qgroup(qctx=qctx, t_samples=2, seed=9)
     assert report["passed"]
-    assert report["max_deviation"] <= 1e-10
+    assert report["checks"][0]["max_deviation"] <= 1e-10

@@ -181,8 +181,7 @@ def test_udf_associativity(tag):
 
 def test_torus_vs_udf_matches_on_generator_pairs():
     rep = torus_vs_udf(CTX)
-    assert rep["matched"], rep["counterexample"]
-    assert rep["max_deviation"] < 1e-10
+    assert all(r["deviation"] < 1e-10 for r in rep["relations"]), rep["relations"]
     assert rep["uv_phase_residual"] < 1e-12
     assert abs(rep["theta_torus"] - 2 * np.pi * CTX.theta) < 1e-14
 
@@ -197,8 +196,7 @@ def test_torus_vs_udf_other_contexts():
     for ctx in (DeformationContext(0.3, 1, 1, (1, 0)),
                 DeformationContext(1.1, 2, 2, (0, 2))):
         rep = torus_vs_udf(ctx)
-        assert rep["matched"], rep["counterexample"]
-        assert rep["max_deviation"] < 1e-10
+        assert all(r["deviation"] < 1e-10 for r in rep["relations"]), rep["relations"]
 
 
 def test_torus_vs_udf_trivial_odd_sector():
@@ -210,11 +208,12 @@ def test_torus_vs_udf_trivial_odd_sector():
     assert all(not g.startswith("X") for g in rep["generators"])
 
 
-def test_torus_vs_udf_judges_pairs_at_the_given_tolerance():
-    # the bridge misses by rounding only, so a tolerance below it names a pair
-    rep = torus_vs_udf(CTX, 1e-17)
-    assert rep["matched"] is False
-    pair = rep["counterexample"]
-    assert pair is not None and pair in rep["relations"]
-    assert not pair["deviation"] <= 1e-17
-    assert rep["max_deviation"] < 1e-10
+def test_torus_vs_udf_reports_each_pair_deviation_not_a_verdict():
+    # the udf suite judges the pairs; the bridge misses by rounding only, so
+    # some pair's deviation is above 1e-17
+    rep = torus_vs_udf(CTX)
+    assert not {"passed", "matched", "counterexample", "max_deviation"} & set(rep)
+    pairs = [r["pair"] for r in rep["relations"]]
+    assert pairs == [f"{a}*{b}" for a in rep["generators"] for b in rep["generators"]]
+    assert any(not r["deviation"] <= 1e-17 for r in rep["relations"])
+    assert all(r["deviation"] < 1e-10 for r in rep["relations"])
